@@ -19,7 +19,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_lru.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/concurrent_s3fifo_ring.h"
 #include "src/concurrent/concurrent_tinylfu.h"
 #include "src/concurrent/replay.h"
 
@@ -39,9 +38,6 @@ std::unique_ptr<ConcurrentCache> MakeCache(const std::string& kind,
   }
   if (kind == "tinylfu") {
     return std::make_unique<ConcurrentTinyLfu>(config);
-  }
-  if (kind == "s3fifo-ring") {
-    return std::make_unique<ConcurrentS3FifoRing>(config);
   }
   return std::make_unique<ConcurrentS3Fifo>(config);
 }
@@ -76,8 +72,7 @@ void Run() {
       std::printf("   T=%-2u          ", t);
     }
     std::printf("\n");
-    for (const char* kind :
-         {"lru-strict", "lru-optimized", "clock", "tinylfu", "s3fifo", "s3fifo-ring"}) {
+    for (const char* kind : {"lru-strict", "lru-optimized", "clock", "tinylfu", "s3fifo"}) {
       std::printf("%-14s", kind);
       for (unsigned threads : thread_counts) {
         auto cache = MakeCache(kind, config);

@@ -9,7 +9,6 @@
 #include "src/concurrent/ebr.h"
 #include "src/concurrent/lockfree_hash_map.h"
 #include "src/concurrent/mpmc_queue.h"
-#include "src/concurrent/striped_hash_map.h"
 #include "src/core/cache_factory.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_view.h"
@@ -216,40 +215,14 @@ void BM_UnorderedMapChurn(benchmark::State& state) {
 BENCHMARK(BM_UnorderedMapChurn);
 
 // Concurrent Get-hit path (§5.3): the index probe dominates a cache hit, so
-// compare the seed's mutex-per-read StripedHashMap against the lock-free
-// LockFreeHashMap on an identical all-hit Zipf probe stream, single-threaded
-// (pure per-op cost) and at 4 threads (lock handoff / shared-line cost —
+// time the lock-free LockFreeHashMap on an all-hit Zipf probe stream,
+// single-threaded (pure per-op cost) and at 4 threads (shared-line cost —
 // on a box with fewer cores this measures contention overhead, not scaling).
 struct IndexEntry {
   explicit IndexEntry(uint64_t k) : key(k) {}
   uint64_t key;
 };
 constexpr uint64_t kIndexObjects = 1 << 16;
-
-void BM_StripedMapGetHit(benchmark::State& state) {
-  static StripedHashMap<IndexEntry*>* map = [] {
-    auto* m = new StripedHashMap<IndexEntry*>(64, kIndexObjects / 64 + 1);
-    for (uint64_t k = 0; k < kIndexObjects; ++k) {
-      m->InsertIfAbsent(k, new IndexEntry(k));
-    }
-    return m;
-  }();
-  ZipfDistribution zipf(kIndexObjects, 1.0);
-  Rng rng(100 + state.thread_index());
-  for (auto _ : state) {
-    const uint64_t id = zipf.Sample(rng) - 1;  // zipf ranks are 1-based
-    uint64_t key = 0;
-    map->WithValue(id, [&](IndexEntry** slot) {
-      if (slot != nullptr) {
-        key = (*slot)->key;
-      }
-      return true;
-    });
-    benchmark::DoNotOptimize(key);
-  }
-}
-BENCHMARK(BM_StripedMapGetHit)->Threads(1);
-BENCHMARK(BM_StripedMapGetHit)->Threads(4);
 
 void BM_LockFreeMapGetHit(benchmark::State& state) {
   static LockFreeHashMap<IndexEntry*>* map = [] {
@@ -347,8 +320,8 @@ void BM_AccessBatch(benchmark::State& state, const std::string& policy, bool bat
       cache->GetBatch(view, begin, end, hits.data());
     } else {
       for (uint64_t i = begin; i < end; ++i) {
-        if (i + 16 < end) {
-          cache->Prefetch(view.id(i + 16));
+        if (i + kPrefetchDistance < end) {
+          cache->Prefetch(view.id(i + kPrefetchDistance));
         }
         hits[i - begin] = cache->Get(view.At(i)) ? 1 : 0;
       }

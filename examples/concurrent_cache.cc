@@ -9,7 +9,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_lru.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/concurrent_s3fifo_ring.h"
 #include "src/concurrent/concurrent_tinylfu.h"
 #include "src/concurrent/replay.h"
 
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
       std::make_unique<ConcurrentClock>(config),
       std::make_unique<ConcurrentTinyLfu>(config),
       std::make_unique<ConcurrentS3Fifo>(config),
-      std::make_unique<ConcurrentS3FifoRing>(config),
   };
   for (auto& cache : caches) {
     const ReplayResult r = ReplayClosedLoop(*cache, options);

@@ -15,7 +15,6 @@ namespace s3fifo {
 namespace {
 
 constexpr size_t kMaxSizesPerPass = 64;  // one residency bit per grid size
-constexpr uint32_t kPrefetchDistance = 16;
 
 // FIFO queues as lazy-stale rings instead of doubly-linked lists: the paper's
 // policies only ever insert at the head and pop (or reinsert) at the tail, so
@@ -919,8 +918,9 @@ class S3FifoEngine {
 };
 
 // The shared traversal: per-size work only on the miss set, no hash probe
-// at all (ids were interned up front by InternTrace). Mirrors simulator.cc's
-// RunLoop metric rules exactly (deletes and warmup excluded from the counts).
+// at all (ids were interned up front by InternTrace). Mirrors the metric
+// rules of MultiSimulate's block loop exactly (deletes and warmup excluded
+// from the counts).
 // The dense-id array is read sequentially, so the only scattered line the
 // request path touches — the object's per-size words — is prefetched
 // kPrefetchDistance ahead with a perfectly known address.

@@ -1,5 +1,5 @@
-// Concurrent open-addressing hash index with lock-free reads — the Get-hit
-// path replacement for the mutex-per-read StripedHashMap. Layout follows
+// Concurrent open-addressing hash index with lock-free reads, the index
+// behind every concurrent cache's Get-hit path. Layout follows
 // src/util/flat_map.h (power-of-two slot array, linear probing, Mix64
 // placement) adapted for concurrency:
 //

@@ -20,17 +20,15 @@ bool Cache::Get(const Request& req) {
   return Access(req);
 }
 
-void Cache::GetBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                     uint32_t prefetch_distance) {
-  AccessBatch(view, begin, end, hits, prefetch_distance);
+void Cache::GetBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
+  AccessBatch(view, begin, end, hits);
 }
 
-void Cache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                        uint32_t prefetch_distance) {
+void Cache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
   const Request* aos = view.AsRequests();
   for (uint64_t i = begin; i < end; ++i) {
-    if (prefetch_distance != 0 && i + prefetch_distance < end) {
-      Prefetch(view.id(i + prefetch_distance));
+    if (i + kPrefetchDistance < end) {
+      Prefetch(view.id(i + kPrefetchDistance));
     }
     const Request req = aos != nullptr ? aos[i] : view.At(i);
     hits[i - begin] = Get(req) ? 1 : 0;

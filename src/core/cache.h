@@ -20,6 +20,11 @@
 
 namespace s3fifo {
 
+// How far ahead of the request being handled the batched loops prefetch the
+// hash probe slot: GetBatch prefetches request i + kPrefetchDistance's slot
+// while request i runs, overlapping table misses across the batch.
+inline constexpr uint32_t kPrefetchDistance = 16;
+
 struct CacheConfig {
   // Capacity in objects (count_based) or bytes (!count_based). Must be > 0.
   uint64_t capacity = 0;
@@ -62,12 +67,11 @@ class Cache {
   // contract is BIT-IDENTICAL results to calling Get() once per request —
   // batching only changes the instruction schedule, never a decision. The
   // default implementation is that scalar loop with the probe slot for
-  // request i + prefetch_distance prefetched while request i is handled;
+  // request i + kPrefetchDistance prefetched while request i is handled;
   // the hot policies (fifo/lru/clock/sieve/s3fifo) override AccessBatch to
   // run the same pipeline devirtualized, with the policy's Access inlined
   // into the block loop. `hits` must hold end - begin bytes.
-  void GetBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                uint32_t prefetch_distance = 16);
+  void GetBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits);
 
   // Best-effort hint that `id` will be requested shortly. The prefetch-
   // batched simulation loops call this a fixed distance ahead of the request
@@ -105,8 +109,7 @@ class Cache {
   // request-for-request: tick the clock once per request (TickClock), route
   // kDelete to Remove, and report the same hit bits — see the specialized
   // policies for the canonical shape. The base implementation loops Get().
-  virtual void AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                           uint32_t prefetch_distance);
+  virtual void AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits);
 
   // Advances the logical clock exactly as Get() does — AccessBatch
   // overrides call this once per request before touching any state.
@@ -122,12 +125,11 @@ class Cache {
   // AccessBatch (the qualified calls bypass further overrides; virtual
   // hooks *inside* Access still dispatch normally).
   template <typename Derived>
-  void BatchLoop(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                 uint32_t prefetch_distance) {
+  void BatchLoop(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
     Derived* self = static_cast<Derived*>(this);
     for (uint64_t i = begin; i < end; ++i) {
-      if (prefetch_distance != 0 && i + prefetch_distance < end) {
-        self->Derived::Prefetch(view.id(i + prefetch_distance));
+      if (i + kPrefetchDistance < end) {
+        self->Derived::Prefetch(view.id(i + kPrefetchDistance));
       }
       TickClock();
       Request req;

@@ -113,9 +113,8 @@ bool ClockCache::Access(const Request& req) {
   return false;
 }
 
-void ClockCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                             uint32_t prefetch_distance) {
-  BatchLoop<ClockCache>(view, begin, end, hits, prefetch_distance);
+void ClockCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
+  BatchLoop<ClockCache>(view, begin, end, hits);
 }
 
 }  // namespace s3fifo

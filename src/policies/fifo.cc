@@ -67,9 +67,8 @@ bool FifoCache::Access(const Request& req) {
   return false;
 }
 
-void FifoCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                            uint32_t prefetch_distance) {
-  BatchLoop<FifoCache>(view, begin, end, hits, prefetch_distance);
+void FifoCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
+  BatchLoop<FifoCache>(view, begin, end, hits);
 }
 
 }  // namespace s3fifo

@@ -67,9 +67,8 @@ bool LruCache::Access(const Request& req) {
   return false;
 }
 
-void LruCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                           uint32_t prefetch_distance) {
-  BatchLoop<LruCache>(view, begin, end, hits, prefetch_distance);
+void LruCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
+  BatchLoop<LruCache>(view, begin, end, hits);
 }
 
 }  // namespace s3fifo

@@ -19,8 +19,8 @@ class LruCache : public Cache {
 
  protected:
   bool Access(const Request& req) override;
-  void AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                   uint32_t prefetch_distance) override;
+  void AccessBatch(const TraceView& view, uint64_t begin, uint64_t end,
+                   uint8_t* hits) override;
 
  private:
   friend class Cache;  // BatchLoop statically binds the protected Access

@@ -295,9 +295,8 @@ bool S3FifoCache::Access(const Request& req) {
   return false;
 }
 
-void S3FifoCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                              uint32_t prefetch_distance) {
-  BatchLoop<S3FifoCache>(view, begin, end, hits, prefetch_distance);
+void S3FifoCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
+  BatchLoop<S3FifoCache>(view, begin, end, hits);
 }
 
 }  // namespace s3fifo

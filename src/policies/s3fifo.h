@@ -105,8 +105,8 @@ class S3FifoCache : public Cache {
   // Inherited unchanged by S3FifoD: the adaptation hooks it overrides are
   // dispatched virtually inside Access, which BatchLoop's qualified calls
   // do not bypass.
-  void AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                   uint32_t prefetch_distance) override;
+  void AccessBatch(const TraceView& view, uint64_t begin, uint64_t end,
+                   uint8_t* hits) override;
   void EnsureFree(uint64_t need);
   // Pops one S tail and routes it to M or G (one Algorithm-1 EVICTS step).
   void EvictFromSmall();

@@ -122,9 +122,8 @@ bool SieveCache::Access(const Request& req) {
   return false;
 }
 
-void SieveCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits,
-                             uint32_t prefetch_distance) {
-  BatchLoop<SieveCache>(view, begin, end, hits, prefetch_distance);
+void SieveCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
+  BatchLoop<SieveCache>(view, begin, end, hits);
 }
 
 }  // namespace s3fifo

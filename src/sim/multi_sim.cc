@@ -15,44 +15,20 @@ namespace {
 // unchanged.
 constexpr uint64_t kBlockRequests = 65536;
 
-// One (cache, block) inner loop. `get` yields the request at an index — a
-// reference into the AoS array for heap-backed views (copy-free, the seed
-// hot path), a gather from the columns for mmap-backed ones.
-template <typename GetReq>
-void RunBlock(const TraceView& view, Cache* cache, SimResult& r, uint64_t begin, uint64_t end,
-              const SimOptions& options, const GetReq& get) {
-  const uint64_t prefetch = options.prefetch_distance;
-  for (uint64_t index = begin; index < end; ++index) {
-    // Prefetch stops at the block edge: the next block reaches this cache
-    // only after every other cache has run the current one, by which time
-    // the lines would be long gone.
-    if (prefetch != 0 && index + prefetch < end) {
-      cache->Prefetch(view.id(index + prefetch));
-    }
-    decltype(auto) req = get(index);
-    const bool hit = cache->Get(req);
-    if (index < options.warmup_requests || req.op == OpType::kDelete) {
-      continue;
-    }
-    ++r.requests;
-    r.bytes_requested += req.size;
-    if (hit) {
-      ++r.hits;
-    } else {
-      ++r.misses;
-      r.bytes_missed += req.size;
-    }
-  }
-}
+// Requests handed to Cache::GetBatch per call. A block is a whole number of
+// batches, so a one-cache run issues the same GetBatch slices as a plain
+// 4096-request walk over the trace.
+constexpr uint64_t kBatchRequests = 4096;
+static_assert(kBlockRequests % kBatchRequests == 0);
 
-// Batched (cache, block) inner loop: slices of batch_size requests go
-// through Cache::GetBatch — the policy's devirtualized block loop — and the
-// metrics are accounted from the hit bitmap plus the view's op/size columns.
-void RunBlockBatched(const TraceView& view, Cache* cache, SimResult& r, uint64_t begin,
-                     uint64_t end, const SimOptions& options, std::vector<uint8_t>& hits) {
-  for (uint64_t b = begin; b < end; b += options.batch_size) {
-    const uint64_t e = std::min<uint64_t>(b + options.batch_size, end);
-    cache->GetBatch(view, b, e, hits.data(), options.prefetch_distance);
+// One (cache, block) inner loop: slices of the block go through
+// Cache::GetBatch — the policy's devirtualized block loop — and the metrics
+// are accounted from the hit bitmap plus the view's op/size columns.
+void RunBlock(const TraceView& view, Cache* cache, SimResult& r, uint64_t begin, uint64_t end,
+              const SimOptions& options, uint8_t* hits) {
+  for (uint64_t b = begin; b < end; b += kBatchRequests) {
+    const uint64_t e = std::min<uint64_t>(b + kBatchRequests, end);
+    cache->GetBatch(view, b, e, hits);
     for (uint64_t i = b; i < e; ++i) {
       if (i < options.warmup_requests || view.op(i) == OpType::kDelete) {
         continue;
@@ -82,20 +58,11 @@ std::vector<SimResult> MultiSimulate(const TraceView& view, std::span<Cache* con
   }
   std::vector<SimResult> results(caches.size());
   const uint64_t n = view.size();
-  const Request* aos = view.AsRequests();
-  std::vector<uint8_t> hits(options.batch_size);  // reused across caches and blocks
+  std::vector<uint8_t> hits(kBatchRequests);  // reused across caches and blocks
   for (uint64_t begin = 0; begin < n; begin += kBlockRequests) {
     const uint64_t end = std::min<uint64_t>(begin + kBlockRequests, n);
     for (size_t i = 0; i < caches.size(); ++i) {
-      if (options.batch_size != 0) {
-        RunBlockBatched(view, caches[i], results[i], begin, end, options, hits);
-      } else if (aos != nullptr) {
-        RunBlock(view, caches[i], results[i], begin, end, options,
-                 [aos](uint64_t index) -> const Request& { return aos[index]; });
-      } else {
-        RunBlock(view, caches[i], results[i], begin, end, options,
-                 [&view](uint64_t index) { return view.At(index); });
-      }
+      RunBlock(view, caches[i], results[i], begin, end, options, hits.data());
     }
   }
   return results;

@@ -6,9 +6,9 @@
 //
 // The canonical input is a TraceView, so the same loop runs over a heap
 // Trace or an mmap'd trace-cache file with no deserialization. Within each
-// block the loop is prefetch-batched (see SimOptions::prefetch_distance):
-// the hash probe slot for request i+K is prefetched while request i is
-// handled, which overlaps table misses — a hint only, results unchanged.
+// block the requests go through Cache::GetBatch, which prefetches the hash
+// probe slot kPrefetchDistance requests ahead — a hint only, results
+// unchanged. Simulate is this loop with one cache.
 #ifndef SRC_SIM_MULTI_SIM_H_
 #define SRC_SIM_MULTI_SIM_H_
 

@@ -1,5 +1,6 @@
 #include "src/sim/runner.h"
 
+#include <algorithm>
 #include <exception>
 #include <thread>
 
@@ -34,26 +35,6 @@ std::vector<TaskOutcome> RunTasks(size_t num_tasks, const std::function<void(siz
   }
   pool.Wait();
   return outcomes;
-}
-
-std::vector<SimJobResult> RunJobs(const std::vector<SimJob>& jobs, const RunnerOptions& options) {
-  std::vector<SimJobResult> results(jobs.size());
-  const std::vector<TaskOutcome> outcomes = RunTasks(
-      jobs.size(),
-      [&jobs, &results](size_t i) {
-        const SimJob& job = jobs[i];
-        Trace trace = job.make_trace();
-        std::unique_ptr<Cache> cache = job.make_cache();
-        results[i].result = Simulate(trace, *cache, job.options);
-      },
-      options);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    results[i].label = jobs[i].label;
-    results[i].ok = outcomes[i].ok;
-    results[i].attempts = outcomes[i].attempts;
-    results[i].error = outcomes[i].error;
-  }
-  return results;
 }
 
 }  // namespace s3fifo

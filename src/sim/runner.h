@@ -1,35 +1,17 @@
-// Parallel, fault-tolerant simulation runner — the in-process analog of the
-// paper's distributed computation platform (§5.1.2). Jobs run on a thread
-// pool; a job that throws is retried up to `max_retries` times and reported
-// as failed afterwards, without affecting other jobs.
+// Parallel, fault-tolerant task runner — the in-process analog of the
+// paper's distributed computation platform (§5.1.2). Tasks run on a thread
+// pool; a task that throws is retried up to `max_retries` times and reported
+// as failed afterwards, without affecting other tasks.
 #ifndef SRC_SIM_RUNNER_H_
 #define SRC_SIM_RUNNER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/sim/simulator.h"
-
 namespace s3fifo {
-
-struct SimJob {
-  std::string label;
-  // Produces the trace and the cache; called on the worker thread so trace
-  // generation parallelises too.
-  std::function<Trace()> make_trace;
-  std::function<std::unique_ptr<Cache>()> make_cache;
-  SimOptions options;
-};
-
-struct SimJobResult {
-  std::string label;
-  SimResult result;
-  bool ok = false;
-  uint32_t attempts = 0;
-  std::string error;
-};
 
 struct RunnerOptions {
   unsigned num_threads = 0;  // 0 = hardware concurrency
@@ -43,15 +25,11 @@ struct TaskOutcome {
   std::string error;
 };
 
-// The generic fault-tolerant parallel runner underlying RunJobs and the
-// sweep engine: executes task(i) for every i in [0, num_tasks) on a thread
-// pool, retrying a throwing task up to max_retries times without affecting
-// the others. Outcomes are index-aligned with the task indices.
+// The runner underlying the sweep engine: executes task(i) for every i in
+// [0, num_tasks) on a thread pool, retrying a throwing task up to
+// max_retries times without affecting the others. Outcomes are
+// index-aligned with the task indices.
 std::vector<TaskOutcome> RunTasks(size_t num_tasks, const std::function<void(size_t)>& task,
-                                  const RunnerOptions& options = {});
-
-// Runs all jobs; the result vector is index-aligned with `jobs`.
-std::vector<SimJobResult> RunJobs(const std::vector<SimJob>& jobs,
                                   const RunnerOptions& options = {});
 
 }  // namespace s3fifo

@@ -1,85 +1,12 @@
 #include "src/sim/simulator.h"
 
-#include <algorithm>
-#include <stdexcept>
-#include <vector>
+#include "src/sim/multi_sim.h"
 
 namespace s3fifo {
-namespace {
-
-// The observer-free fast path: hand block-sized slices to Cache::GetBatch
-// and account hits from the returned bitmap plus the view's op/size columns.
-SimResult RunBatched(const TraceView& view, Cache& cache, const SimOptions& options) {
-  SimResult result;
-  const uint64_t n = view.size();
-  std::vector<uint8_t> hits(options.batch_size);
-  for (uint64_t begin = 0; begin < n; begin += options.batch_size) {
-    const uint64_t end = std::min<uint64_t>(begin + options.batch_size, n);
-    cache.GetBatch(view, begin, end, hits.data(), options.prefetch_distance);
-    for (uint64_t i = begin; i < end; ++i) {
-      if (i < options.warmup_requests || view.op(i) == OpType::kDelete) {
-        continue;
-      }
-      const uint64_t size = view.object_size(i);
-      ++result.requests;
-      result.bytes_requested += size;
-      if (hits[i - begin] != 0) {
-        ++result.hits;
-      } else {
-        ++result.misses;
-        result.bytes_missed += size;
-      }
-    }
-  }
-  return result;
-}
-
-template <typename GetReq>
-SimResult RunLoop(const TraceView& view, Cache& cache, const SimOptions& options,
-                  const GetReq& get) {
-  SimResult result;
-  const uint64_t n = view.size();
-  const uint64_t prefetch = options.prefetch_distance;
-  for (uint64_t index = 0; index < n; ++index) {
-    if (prefetch != 0 && index + prefetch < n) {
-      cache.Prefetch(view.id(index + prefetch));
-    }
-    decltype(auto) req = get(index);
-    const bool hit = cache.Get(req);
-    if (options.observer) {
-      options.observer(index, req, hit);
-    }
-    if (index < options.warmup_requests || req.op == OpType::kDelete) {
-      continue;
-    }
-    ++result.requests;
-    result.bytes_requested += req.size;
-    if (hit) {
-      ++result.hits;
-    } else {
-      ++result.misses;
-      result.bytes_missed += req.size;
-    }
-  }
-  return result;
-}
-
-}  // namespace
 
 SimResult Simulate(const TraceView& view, Cache& cache, const SimOptions& options) {
-  if (cache.RequiresNextAccess() && !view.annotated()) {
-    throw std::invalid_argument("policy '" + cache.Name() +
-                                "' requires AnnotateNextAccess() on the trace");
-  }
-  if (!options.observer && options.batch_size != 0) {
-    return RunBatched(view, cache, options);
-  }
-  const Request* aos = view.AsRequests();
-  if (aos != nullptr) {
-    return RunLoop(view, cache, options,
-                   [aos](uint64_t index) -> const Request& { return aos[index]; });
-  }
-  return RunLoop(view, cache, options, [&view](uint64_t index) { return view.At(index); });
+  Cache* const caches[] = {&cache};
+  return MultiSimulate(view, caches, options)[0];
 }
 
 SimResult Simulate(const Trace& trace, Cache& cache, const SimOptions& options) {

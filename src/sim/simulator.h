@@ -2,16 +2,15 @@
 // metrics (request and byte miss ratio, with optional warmup exclusion).
 //
 // The canonical input is a TraceView — zero-copy over either a heap Trace or
-// an mmap'd trace-cache file — and the request loop is prefetch-batched:
-// while request i is being handled, the hash probe slot for request i+K is
-// prefetched (Cache::Prefetch), overlapping table misses across the block.
-// Prefetching is a pure hint, so results are bit-identical to the scalar
-// loop (prefetch_distance = 0) on any backing.
+// an mmap'd trace-cache file. Simulate is the one-cache case of
+// MultiSimulate (src/sim/multi_sim.h), so both run the same loop: slices of
+// the trace go through Cache::GetBatch, the policy's prefetch-batched block
+// loop, whose results are bit-identical to calling Cache::Get once per
+// request on any backing.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/core/cache.h"
 #include "src/trace/trace.h"
@@ -22,20 +21,6 @@ namespace s3fifo {
 struct SimOptions {
   // Requests excluded from the metrics while still warming the cache.
   uint64_t warmup_requests = 0;
-  // How far ahead of the current request the cache's hash slot is
-  // prefetched. 0 disables prefetching (the scalar reference loop).
-  uint32_t prefetch_distance = 16;
-  // Requests handed to Cache::GetBatch per call when no observer is
-  // installed — the batched path runs the policy's devirtualized block loop.
-  // 0 forces the per-request reference loop (Get once per request), which is
-  // also the path every observer run takes. Results are bit-identical either
-  // way; this only changes the instruction schedule.
-  uint32_t batch_size = 4096;
-  // Invoked after every request (warmup included) with the request index,
-  // the request, and the hit/miss outcome, while the cache still holds the
-  // post-request state. The correctness harness hangs its per-request
-  // metamorphic invariant checks here.
-  std::function<void(uint64_t index, const Request& req, bool hit)> observer;
 };
 
 struct SimResult {

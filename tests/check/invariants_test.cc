@@ -72,28 +72,6 @@ TEST(InvariantsTest, SimulateConservesHitAndMissCounts) {
   }
 }
 
-TEST(InvariantsTest, SimulatorObserverSeesEveryRequest) {
-  const auto requests = FuzzTrace(34, 64, true, 5000);
-  Trace trace(requests, "observer");
-  CacheConfig config;
-  config.capacity = 64;
-  auto cache = CreateCache("s3fifo", config);
-  uint64_t seen = 0;
-  uint64_t observed_hits = 0;
-  SimOptions options;
-  options.observer = [&](uint64_t index, const Request& req, bool hit) {
-    EXPECT_EQ(index, seen);
-    EXPECT_EQ(req.id, requests[index].id);
-    ++seen;
-    if (hit && req.op != OpType::kDelete) {
-      ++observed_hits;
-    }
-  };
-  const SimResult result = Simulate(trace, *cache, options);
-  EXPECT_EQ(seen, requests.size());
-  EXPECT_EQ(observed_hits, result.hits);
-}
-
 TEST(InvariantsTest, DeterministicReplayAllPolicies) {
   const auto trace = FuzzTrace(35, 64, true, 10000);
   for (const std::string& policy : AllCacheNames()) {

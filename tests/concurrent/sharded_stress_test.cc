@@ -18,7 +18,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_lru.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/concurrent_s3fifo_ring.h"
 #include "src/concurrent/concurrent_tinylfu.h"
 #include "src/concurrent/ebr.h"
 #include "src/util/rng.h"
@@ -40,9 +39,6 @@ std::unique_ptr<ConcurrentCache> MakeCache(const std::string& kind,
   }
   if (kind == "tinylfu") {
     return std::make_unique<ConcurrentTinyLfu>(config);
-  }
-  if (kind == "s3fifo-ring") {
-    return std::make_unique<ConcurrentS3FifoRing>(config);
   }
   return std::make_unique<ConcurrentS3Fifo>(config);
 }
@@ -129,7 +125,7 @@ TEST_P(ShardedStressTest, ChurnThenDrainReclaimsWithoutCrashing) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ShardedStressTest,
                          ::testing::Values("lru-strict", "lru-optimized", "clock", "tinylfu",
-                                           "s3fifo", "s3fifo-ring"),
+                                           "s3fifo"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {

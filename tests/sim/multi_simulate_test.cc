@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,43 +100,8 @@ TEST(MultiSimulateTest, EmptyCacheSetYieldsNoResults) {
   EXPECT_TRUE(MultiSimulate(trace, none).empty());
 }
 
-// Prefetching is a pure hint: any distance (including the scalar reference
-// loop at 0) must produce bit-identical results for every policy.
-TEST(MultiSimulateTest, PrefetchDistanceNeverChangesResults) {
-  const Trace trace = MakeMixedTrace();
-  CacheConfig config;
-  config.capacity = 200;
-
-  SimOptions scalar;
-  scalar.prefetch_distance = 0;
-  std::map<std::string, SimResult> reference;
-  for (const std::string& name : AllCacheNames()) {
-    auto cache = CreateCache(name, config);
-    reference[name] = Simulate(trace, *cache, scalar);
-  }
-
-  for (const uint32_t distance : {1u, 8u, 16u, 64u, 1u << 20}) {
-    SimOptions batched;
-    batched.prefetch_distance = distance;
-    for (const std::string& name : AllCacheNames()) {
-      auto cache = CreateCache(name, config);
-      ExpectSameResult(Simulate(trace, *cache, batched), reference[name],
-                       name + "@distance=" + std::to_string(distance));
-    }
-    std::vector<std::unique_ptr<Cache>> caches;
-    for (const std::string& name : AllCacheNames()) {
-      caches.push_back(CreateCache(name, config));
-    }
-    const std::vector<SimResult> multi = MultiSimulate(trace, caches, batched);
-    for (size_t i = 0; i < AllCacheNames().size(); ++i) {
-      ExpectSameResult(multi[i], reference[AllCacheNames()[i]],
-                       AllCacheNames()[i] + "/multi@distance=" + std::to_string(distance));
-    }
-  }
-}
-
 // The mmap'd columnar backing must be indistinguishable from the heap trace
-// in simulation output, for both the scalar and prefetch-batched loops.
+// in simulation output, through both Simulate and MultiSimulate.
 TEST(MultiSimulateTest, MmapAndHeapBackingsSimulateIdentically) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "s3fifo_multi_sim_cache_test").string();
@@ -151,28 +115,22 @@ TEST(MultiSimulateTest, MmapAndHeapBackingsSimulateIdentically) {
 
   CacheConfig config;
   config.capacity = 200;
-  for (const uint32_t distance : {0u, 16u}) {
-    SimOptions options;
-    options.prefetch_distance = distance;
-    for (const std::string& name : AllCacheNames()) {
-      auto heap_cache = CreateCache(name, config);
-      auto mmap_cache = CreateCache(name, config);
-      ExpectSameResult(Simulate(TraceView::Borrow(heap_trace), *heap_cache, options),
-                       Simulate(mmap_view, *mmap_cache, options),
-                       name + "/mmap-vs-heap@" + std::to_string(distance));
-    }
+  for (const std::string& name : AllCacheNames()) {
+    auto heap_cache = CreateCache(name, config);
+    auto mmap_cache = CreateCache(name, config);
+    ExpectSameResult(Simulate(TraceView::Borrow(heap_trace), *heap_cache),
+                     Simulate(mmap_view, *mmap_cache), name + "/mmap-vs-heap");
+  }
 
-    std::vector<std::unique_ptr<Cache>> heap_caches, mmap_caches;
-    for (const std::string& name : AllCacheNames()) {
-      heap_caches.push_back(CreateCache(name, config));
-      mmap_caches.push_back(CreateCache(name, config));
-    }
-    const std::vector<SimResult> heap_results = MultiSimulate(heap_trace, heap_caches, options);
-    const std::vector<SimResult> mmap_results = MultiSimulate(mmap_view, mmap_caches, options);
-    for (size_t i = 0; i < AllCacheNames().size(); ++i) {
-      ExpectSameResult(heap_results[i], mmap_results[i],
-                       AllCacheNames()[i] + "/multi-mmap@" + std::to_string(distance));
-    }
+  std::vector<std::unique_ptr<Cache>> heap_caches, mmap_caches;
+  for (const std::string& name : AllCacheNames()) {
+    heap_caches.push_back(CreateCache(name, config));
+    mmap_caches.push_back(CreateCache(name, config));
+  }
+  const std::vector<SimResult> heap_results = MultiSimulate(heap_trace, heap_caches);
+  const std::vector<SimResult> mmap_results = MultiSimulate(mmap_view, mmap_caches);
+  for (size_t i = 0; i < AllCacheNames().size(); ++i) {
+    ExpectSameResult(heap_results[i], mmap_results[i], AllCacheNames()[i] + "/multi-mmap");
   }
   std::filesystem::remove_all(dir);
 }

@@ -4,92 +4,119 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <vector>
 
 #include "src/core/cache_factory.h"
+#include "src/sim/simulator.h"
 #include "src/workload/zipf_workload.h"
 
 namespace s3fifo {
 namespace {
 
-SimJob MakeJob(const std::string& label, const std::string& policy, uint64_t seed) {
-  SimJob job;
-  job.label = label;
-  job.make_trace = [seed] {
-    ZipfWorkloadConfig c;
-    c.num_objects = 200;
-    c.num_requests = 5000;
-    c.alpha = 1.0;
-    c.seed = seed;
-    return GenerateZipfTrace(c);
-  };
-  job.make_cache = [policy] {
-    CacheConfig config;
-    config.capacity = 50;
-    return CreateCache(policy, config);
-  };
-  return job;
+// A small end-to-end simulation whose result depends only on `seed`.
+SimResult SimulateZipf(const std::string& policy, uint64_t seed) {
+  ZipfWorkloadConfig c;
+  c.num_objects = 200;
+  c.num_requests = 5000;
+  c.alpha = 1.0;
+  c.seed = seed;
+  CacheConfig config;
+  config.capacity = 50;
+  auto cache = CreateCache(policy, config);
+  return Simulate(GenerateZipfTrace(c), *cache);
 }
 
-TEST(RunnerTest, RunsAllJobs) {
-  std::vector<SimJob> jobs;
-  for (int i = 0; i < 8; ++i) {
-    jobs.push_back(MakeJob("job" + std::to_string(i), i % 2 ? "lru" : "s3fifo", i));
+TEST(RunnerTest, OutcomesAreIndexAligned) {
+  // Task i succeeds only on its (i+1)-th attempt, so each outcome's attempt
+  // count names the task it belongs to.
+  constexpr size_t kTasks = 3;
+  std::vector<std::atomic<int>> calls(kTasks);
+  std::vector<int> written(kTasks, -1);
+  const auto outcomes = RunTasks(
+      kTasks,
+      [&](size_t i) {
+        if (calls[i].fetch_add(1) < static_cast<int>(i)) {
+          throw std::runtime_error("not yet");
+        }
+        written[i] = static_cast<int>(i);
+      },
+      {.num_threads = 2, .max_retries = 2});
+  ASSERT_EQ(outcomes.size(), kTasks);
+  for (size_t i = 0; i < kTasks; ++i) {
+    EXPECT_TRUE(outcomes[i].ok) << i;
+    EXPECT_EQ(outcomes[i].attempts, i + 1) << i;
+    EXPECT_EQ(written[i], static_cast<int>(i));
   }
-  const auto results = RunJobs(jobs, {.num_threads = 4, .max_retries = 0});
-  ASSERT_EQ(results.size(), 8u);
-  for (const auto& r : results) {
-    EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
-    EXPECT_GT(r.result.requests, 0u);
+}
+
+TEST(RunnerTest, TransientFaultIsRetried) {
+  // Throws twice, then succeeds: max_retries=2 absorbs both faults.
+  std::atomic<int> calls{0};
+  const auto outcomes = RunTasks(
+      1,
+      [&](size_t) {
+        if (calls.fetch_add(1) < 2) {
+          throw std::runtime_error("simulated node failure");
+        }
+      },
+      {.num_threads = 1, .max_retries = 2});
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_TRUE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].attempts, 3u);
+}
+
+TEST(RunnerTest, PermanentFailureIsReportedAndIsolated) {
+  constexpr uint32_t kMaxRetries = 3;
+  std::vector<SimResult> results(4);
+  const auto outcomes = RunTasks(
+      results.size(),
+      [&](size_t i) {
+        if (i == 1) {
+          throw std::runtime_error("always fails");
+        }
+        results[i] = SimulateZipf("lru", i);
+      },
+      {.num_threads = 2, .max_retries = kMaxRetries});
+  ASSERT_EQ(outcomes.size(), results.size());
+  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_EQ(outcomes[1].attempts, kMaxRetries + 1);
+  EXPECT_EQ(outcomes[1].error, "always fails");
+  for (size_t i : {0u, 2u, 3u}) {
+    EXPECT_TRUE(outcomes[i].ok) << i;
+    EXPECT_EQ(outcomes[i].attempts, 1u) << i;
+    EXPECT_TRUE(outcomes[i].error.empty()) << i;
+    EXPECT_EQ(results[i].hits, SimulateZipf("lru", i).hits) << i;
   }
 }
 
-TEST(RunnerTest, ResultsAreIndexAligned) {
-  std::vector<SimJob> jobs = {MakeJob("a", "lru", 1), MakeJob("b", "fifo", 2)};
-  const auto results = RunJobs(jobs, {.num_threads = 2, .max_retries = 0});
-  EXPECT_EQ(results[0].label, "a");
-  EXPECT_EQ(results[1].label, "b");
+TEST(RunnerTest, NonStandardExceptionIsReportedAsUnknown) {
+  const auto outcomes = RunTasks(
+      1, [](size_t) { throw 42; }, {.num_threads = 1, .max_retries = 1});
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].attempts, 2u);
+  EXPECT_EQ(outcomes[0].error, "unknown exception");
 }
 
-TEST(RunnerTest, FaultIsolationAndRetry) {
-  // A job that fails twice then succeeds: the runner's retry absorbs the
-  // transient fault without affecting neighbours.
-  auto flaky_counter = std::make_shared<std::atomic<int>>(0);
-  SimJob flaky = MakeJob("flaky", "lru", 3);
-  auto inner = flaky.make_trace;
-  flaky.make_trace = [flaky_counter, inner] {
-    if (flaky_counter->fetch_add(1) < 2) {
-      throw std::runtime_error("simulated node failure");
+TEST(RunnerTest, ResultsAreIdenticalAcrossThreadCounts) {
+  constexpr size_t kTasks = 6;
+  auto run = [](unsigned threads) {
+    std::vector<SimResult> results(kTasks);
+    const auto outcomes = RunTasks(
+        kTasks, [&](size_t i) { results[i] = SimulateZipf(i % 2 ? "lru" : "s3fifo", i + 10); },
+        {.num_threads = threads, .max_retries = 0});
+    for (const TaskOutcome& outcome : outcomes) {
+      EXPECT_TRUE(outcome.ok) << outcome.error;
     }
-    return inner();
+    return results;
   };
-  std::vector<SimJob> jobs = {MakeJob("ok", "lru", 4), flaky};
-  const auto results = RunJobs(jobs, {.num_threads = 2, .max_retries = 2});
-  EXPECT_TRUE(results[0].ok);
-  EXPECT_TRUE(results[1].ok);
-  EXPECT_EQ(results[1].attempts, 3u);
-}
-
-TEST(RunnerTest, PermanentFailureReported) {
-  SimJob doomed = MakeJob("doomed", "lru", 5);
-  doomed.make_cache = []() -> std::unique_ptr<Cache> {
-    throw std::runtime_error("always fails");
-  };
-  const auto results = RunJobs({doomed}, {.num_threads = 1, .max_retries = 1});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_FALSE(results[0].ok);
-  EXPECT_EQ(results[0].attempts, 2u);
-  EXPECT_NE(results[0].error.find("always fails"), std::string::npos);
-}
-
-TEST(RunnerTest, DeterministicAcrossThreadCounts) {
-  std::vector<SimJob> jobs;
-  for (int i = 0; i < 6; ++i) {
-    jobs.push_back(MakeJob("j" + std::to_string(i), "s3fifo", i + 10));
-  }
-  const auto seq = RunJobs(jobs, {.num_threads = 1, .max_retries = 0});
-  const auto par = RunJobs(jobs, {.num_threads = 4, .max_retries = 0});
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(seq[i].result.hits, par[i].result.hits) << i;
+  const std::vector<SimResult> seq = run(1);
+  const std::vector<SimResult> par = run(4);
+  for (size_t i = 0; i < kTasks; ++i) {
+    EXPECT_GT(seq[i].requests, 0u) << i;
+    EXPECT_EQ(seq[i].hits, par[i].hits) << i;
+    EXPECT_EQ(seq[i].misses, par[i].misses) << i;
+    EXPECT_EQ(seq[i].bytes_missed, par[i].bytes_missed) << i;
   }
 }
 

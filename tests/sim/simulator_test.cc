@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/core/cache_factory.h"
+#include "src/sim/multi_sim.h"
 #include "src/trace/next_access.h"
 #include "src/workload/zipf_workload.h"
 
@@ -115,6 +120,71 @@ TEST(SimulatorTest, LargerCacheNeverHurtsLru) {
     const SimResult r = Simulate(t, *cache);
     EXPECT_LE(r.misses, prev_misses) << "LRU inclusion property violated at " << cap;
     prev_misses = r.misses;
+  }
+}
+
+// Simulate and MultiSimulate walk the trace in 65,536-request blocks of
+// GetBatch slices. A trace spanning three full blocks plus a partial one,
+// with sets, deletes and a warmup that ends mid-block, must give exactly
+// what a hand-written Cache::Get loop gives, for a policy with a batched
+// override (s3fifo) and one on the default Get fallback (arc).
+TEST(SimulatorTest, MatchesScalarGetLoopAcrossBlockEdges) {
+  ZipfWorkloadConfig zc;
+  zc.num_objects = 20000;
+  zc.num_requests = 3 * 65536 + 12345;
+  zc.alpha = 0.9;
+  zc.write_fraction = 0.1;
+  zc.delete_fraction = 0.05;
+  zc.size_sigma = 1.0;
+  zc.seed = 17;
+  const Trace trace = GenerateZipfTrace(zc);
+  SimOptions options;
+  options.warmup_requests = 65536 + 30000;
+  const std::vector<std::string> policies = {"s3fifo", "arc"};
+  CacheConfig config;
+  config.capacity = 2000;
+
+  std::vector<SimResult> expected;
+  for (const std::string& policy : policies) {
+    auto cache = CreateCache(policy, config);
+    SimResult r;
+    for (uint64_t i = 0; i < trace.size(); ++i) {
+      const Request& req = trace[i];
+      const bool hit = cache->Get(req);
+      if (i < options.warmup_requests || req.op == OpType::kDelete) {
+        continue;
+      }
+      ++r.requests;
+      r.bytes_requested += req.size;
+      if (hit) {
+        ++r.hits;
+      } else {
+        ++r.misses;
+        r.bytes_missed += req.size;
+      }
+    }
+    ASSERT_GT(r.hits, 0u) << policy;
+    ASSERT_LT(r.bytes_missed, r.bytes_requested) << policy;
+    expected.push_back(r);
+  }
+
+  auto expect_same = [](const SimResult& got, const SimResult& want, const std::string& what) {
+    EXPECT_EQ(got.requests, want.requests) << what;
+    EXPECT_EQ(got.hits, want.hits) << what;
+    EXPECT_EQ(got.misses, want.misses) << what;
+    EXPECT_EQ(got.bytes_requested, want.bytes_requested) << what;
+    EXPECT_EQ(got.bytes_missed, want.bytes_missed) << what;
+  };
+  std::vector<std::unique_ptr<Cache>> caches;
+  for (size_t p = 0; p < policies.size(); ++p) {
+    auto cache = CreateCache(policies[p], config);
+    expect_same(Simulate(trace, *cache, options), expected[p], policies[p]);
+    caches.push_back(CreateCache(policies[p], config));
+  }
+  // Two caches interleave block by block through the same loop.
+  const std::vector<SimResult> multi = MultiSimulate(trace, caches, options);
+  for (size_t p = 0; p < policies.size(); ++p) {
+    expect_same(multi[p], expected[p], policies[p] + "/multi");
   }
 }
 
