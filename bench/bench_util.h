@@ -8,12 +8,24 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <sys/utsname.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+// Set by bench/CMakeLists.txt; the fallbacks keep the header usable alone.
+#ifndef S3FIFO_SOURCE_DIR
+#define S3FIFO_SOURCE_DIR "."
+#endif
+#ifndef S3FIFO_BUILD_TYPE
+#define S3FIFO_BUILD_TYPE "unknown"
+#endif
 
 namespace s3fifo {
 
@@ -152,8 +164,44 @@ class JsonFields {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
+// Where and how a BENCH file was recorded, so rows from different commits,
+// machines or builds are never compared blind: the source tree's commit
+// ("-dirty" when it has uncommitted changes; "none" outside a git checkout),
+// the online CPU count, the CPU model, the kernel release and the CMake
+// build type (plus sanitizers, if any).
+inline JsonFields BenchProvenance() {
+  std::string sha = "none";
+  if (std::FILE* git = popen("git -C \"" S3FIFO_SOURCE_DIR
+                             "\" describe --always --dirty --abbrev=40 2>/dev/null",
+                             "r")) {
+    char buf[128] = {};
+    if (std::fgets(buf, sizeof(buf), git) != nullptr && buf[0] != '\0') {
+      sha.assign(buf, std::strcspn(buf, "\n"));
+    }
+    if (pclose(git) != 0) {
+      sha = "none";
+    }
+  }
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+      cpu_model = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  utsname uts{};
+  const std::string kernel = uname(&uts) == 0 ? uts.release : "unknown";
+  return JsonFields()
+      .Add("git_sha", sha)
+      .Add("nproc", std::thread::hardware_concurrency())
+      .Add("cpu_model", cpu_model)
+      .Add("kernel", kernel)
+      .Add("build_type", S3FIFO_BUILD_TYPE);
+}
+
 // Writes BENCH_<bench_name>.json into the working directory:
-// {"bench": ..., "summary": {...}, "rows": [{...}, ...]}.
+// {"bench": ..., "provenance": {...}, "summary": {...}, "rows": [{...}, ...]}.
 inline void WriteBenchJson(const std::string& bench_name, const JsonFields& summary,
                            const std::vector<JsonFields>& rows) {
   const std::string path = "BENCH_" + bench_name + ".json";
@@ -162,7 +210,8 @@ inline void WriteBenchJson(const std::string& bench_name, const JsonFields& summ
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"summary\": %s,\n  \"rows\": [", bench_name.c_str(),
+  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"provenance\": %s,\n  \"summary\": %s,\n  \"rows\": [",
+               bench_name.c_str(), BenchProvenance().Serialize().c_str(),
                summary.Serialize().c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f, "%s\n    %s", i > 0 ? "," : "", rows[i].Serialize().c_str());

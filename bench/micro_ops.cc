@@ -8,7 +8,6 @@
 #include "src/concurrent/concurrent_s3fifo.h"
 #include "src/concurrent/ebr.h"
 #include "src/concurrent/lockfree_hash_map.h"
-#include "src/concurrent/mpmc_queue.h"
 #include "src/core/cache_factory.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_view.h"
@@ -76,17 +75,6 @@ void BM_CountMinSketch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountMinSketch);
-
-void BM_MpmcQueue(benchmark::State& state) {
-  MpmcQueue<uint64_t> q(1024);
-  uint64_t v = 0;
-  for (auto _ : state) {
-    q.TryPush(v);
-    q.TryPop(&v);
-    benchmark::DoNotOptimize(v);
-  }
-}
-BENCHMARK(BM_MpmcQueue);
 
 // FlatMap vs std::unordered_map on the S3-FIFO table access pattern: Zipf
 // lookups (mostly hits), miss -> insert, FIFO-ordered erase at capacity —

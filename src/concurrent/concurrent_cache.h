@@ -16,11 +16,13 @@ namespace s3fifo {
 struct ConcurrentCacheConfig {
   uint64_t capacity_objects = 1 << 16;
   uint32_t value_size = 64;  // bytes materialised per on-demand-filled object
-  // Writer-lock shards inside each sub-cache's hash index (reads are
-  // lock-free and unaffected).
+  // Sub-tables across all sub-caches' hash indexes (divided among the
+  // sub-caches). Writers are serialized by their sub-cache's lock either
+  // way; more sub-tables keep each occupancy-triggered rebuild, which runs
+  // inside that lock, small. Reads are lock-free and unaffected.
   unsigned hash_shards = 64;
   // Sub-cache partitions: each owns an independent index, queues, ghost
-  // state and eviction lock. Clamped against capacity (PickCacheShards);
+  // state and lock. Clamped against capacity (PickCacheShards);
   // 1 reproduces the unsharded seed semantics exactly.
   unsigned cache_shards = 8;
 };

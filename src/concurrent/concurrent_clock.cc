@@ -1,6 +1,7 @@
 #include "src/concurrent/concurrent_clock.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "src/concurrent/value_payload.h"
 
@@ -14,23 +15,17 @@ ConcurrentClock::ConcurrentClock(const ConcurrentCacheConfig& config)
   for (unsigned i = 0; i < num_shards_; ++i) {
     const uint64_t capacity = config.capacity_objects / num_shards_ +
                               (i < config.capacity_objects % num_shards_ ? 1 : 0);
-    shards_.push_back(std::make_unique<Shard>(capacity, index_shards,
-                                              /*pending_capacity=*/256));
+    shards_.push_back(std::make_unique<Shard>(capacity, index_shards));
   }
 }
 
 ConcurrentClock::~ConcurrentClock() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
-    s.gate.WithLock([&s] {
-      Entry* e = nullptr;
-      while (s.gate.pending().TryPop(&e)) {
-        delete e;
-      }
-      while (Entry* x = s.list.PopBack()) {
-        delete x;
-      }
-    });
+    std::lock_guard<ShardLock> lock(s.lock);
+    while (Entry* x = s.list.PopBack()) {
+      delete x;
+    }
   }
 }
 
@@ -52,42 +47,39 @@ bool ConcurrentClock::Get(uint64_t id) {
   Entry* e = new Entry;
   e->id = id;
   e->value = MakeValuePayload(id, config_.value_size);
-  if (!s.index.InsertIfAbsent(id, e)) {
-    delete e;
-    misses_.Add(1);
-    return false;
-  }
-  s.resident.fetch_add(1, std::memory_order_relaxed);
   misses_.Add(1);
-
-  std::vector<Entry*> victims;
-  s.gate.Submit(e, [this, &s, &victims] { DrainLocked(s, victims); });
+  thread_local std::vector<Entry*> victims;
+  {
+    std::lock_guard<ShardLock> lock(s.lock);
+    if (s.index.Find(id) == nullptr) {
+      LinkLocked(s, e, victims);
+      s.index.InsertIfAbsent(id, e);
+      s.resident.store(s.list.size(), std::memory_order_relaxed);
+      e = nullptr;
+    }
+  }
+  delete e;  // non-null: another thread admitted this id first
   for (Entry* victim : victims) {
-    s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
     RetireEntry(victim);
   }
+  victims.clear();
   return false;
 }
 
-void ConcurrentClock::DrainLocked(Shard& s, std::vector<Entry*>& victims) {
-  Entry* e = nullptr;
-  while (s.gate.pending().TryPop(&e)) {
-    s.list.PushFront(e);
-    ++s.linked;
-    while (s.linked > s.capacity_objects && !s.list.empty()) {
-      Entry* hand = s.list.Back();
-      if (hand == nullptr || hand == e) {
-        break;  // pathological capacity-1 shard
-      }
-      if (hand->ref.exchange(0, std::memory_order_relaxed) != 0) {
-        s.list.MoveToFront(hand);  // second chance
-        continue;
-      }
-      s.list.Remove(hand);
-      --s.linked;
-      s.resident.fetch_sub(1, std::memory_order_relaxed);
-      victims.push_back(hand);
+void ConcurrentClock::LinkLocked(Shard& s, Entry* e, std::vector<Entry*>& victims) {
+  s.list.PushFront(e);
+  while (s.list.size() > s.capacity_objects) {
+    Entry* hand = s.list.Back();
+    if (hand == e) {
+      break;  // pathological capacity-1 shard
     }
+    if (hand->ref.exchange(0, std::memory_order_relaxed) != 0) {
+      s.list.MoveToFront(hand);  // second chance
+      continue;
+    }
+    s.list.Remove(hand);
+    s.index.Erase(hand->id);
+    victims.push_back(hand);
   }
 }
 

@@ -1,7 +1,7 @@
 // Concurrent CLOCK (the MemC3 / RocksDB HyperClockCache approach, paper
 // §2.2/§7), sharded + lock-free read path: hits are a wait-free index probe
-// plus one relaxed ref-bit store — no lock; misses touch only the owning
-// sub-cache's clock list through its try-lock-and-delegate eviction gate.
+// plus one relaxed ref-bit store — no lock; a miss links, evicts and
+// publishes in one critical section under the owning sub-cache's ShardLock.
 #ifndef SRC_CONCURRENT_CONCURRENT_CLOCK_H_
 #define SRC_CONCURRENT_CONCURRENT_CLOCK_H_
 
@@ -37,19 +37,20 @@ class ConcurrentClock : public ConcurrentCache {
   using Queue = IntrusiveList<Entry, &Entry::hook>;
 
   struct alignas(64) Shard {
-    Shard(uint64_t capacity, unsigned index_shards, uint64_t pending_capacity)
-        : capacity_objects(capacity), index(capacity, index_shards), gate(pending_capacity) {}
+    Shard(uint64_t capacity, unsigned index_shards)
+        : capacity_objects(capacity), index(capacity, index_shards) {}
 
     const uint64_t capacity_objects;
-    LockFreeHashMap<Entry*> index;
-    EvictionGate<Entry*> gate;
-    Queue list;  // guarded by the gate lock; FIFO order, back = oldest
-    uint64_t linked = 0;
-    std::atomic<uint64_t> resident{0};
+    LockFreeHashMap<Entry*> index;  // written under `lock`, read lock-free
+    ShardLock lock;
+    Queue list;  // guarded by `lock`; FIFO order, back = oldest
+    std::atomic<uint64_t> resident{0};  // list.size(), stored at each unlock
   };
 
   Shard& ShardFor(uint64_t id) { return *shards_[CacheShardFor(id, num_shards_)]; }
-  void DrainLocked(Shard& s, std::vector<Entry*>& victims);
+  // Under the shard lock: links `e`, then sweeps the hand until the list
+  // fits, unpublishing each victim.
+  void LinkLocked(Shard& s, Entry* e, std::vector<Entry*>& victims);
   static void RetireEntry(Entry* e);
 
   const ConcurrentCacheConfig config_;

@@ -54,23 +54,17 @@ ConcurrentLruOptimized::ConcurrentLruOptimized(const ConcurrentCacheConfig& conf
   for (unsigned i = 0; i < num_shards_; ++i) {
     const uint64_t capacity = config.capacity_objects / num_shards_ +
                               (i < config.capacity_objects % num_shards_ ? 1 : 0);
-    shards_.push_back(std::make_unique<Shard>(capacity, index_shards,
-                                              /*pending_capacity=*/256));
+    shards_.push_back(std::make_unique<Shard>(capacity, index_shards));
   }
 }
 
 ConcurrentLruOptimized::~ConcurrentLruOptimized() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
-    s.gate.WithLock([&s] {
-      Entry* e = nullptr;
-      while (s.gate.pending().TryPop(&e)) {
-        delete e;
-      }
-      while (Entry* x = s.list.PopBack()) {
-        delete x;
-      }
-    });
+    std::lock_guard<ShardLock> lock(s.lock);
+    while (Entry* x = s.list.PopBack()) {
+      delete x;
+    }
   }
 }
 
@@ -86,13 +80,13 @@ bool ConcurrentLruOptimized::Get(uint64_t id) {
     // Delayed promotion: at most once per refresh_ops_ accesses to this
     // entry, and only if the list lock is immediately available (try-lock
     // promotion — skipped outright under contention).
-    if (e->accesses.fetch_add(1, std::memory_order_relaxed) + 1 >= refresh_ops_) {
-      s.gate.TryWithLock([&s, e] {
-        if (e->hook.linked()) {  // not concurrently evicted
-          s.list.MoveToFront(e);
-          e->accesses.store(0, std::memory_order_relaxed);
-        }
-      });
+    if (e->accesses.fetch_add(1, std::memory_order_relaxed) + 1 >= refresh_ops_ &&
+        s.lock.try_lock()) {
+      if (e->hook.linked()) {  // not concurrently evicted
+        s.list.MoveToFront(e);
+        e->accesses.store(0, std::memory_order_relaxed);
+      }
+      s.lock.unlock();
     }
     hits_.Add(1);
     return true;
@@ -101,38 +95,35 @@ bool ConcurrentLruOptimized::Get(uint64_t id) {
   Entry* e = new Entry;
   e->id = id;
   e->value = MakeValuePayload(id, config_.value_size);
-  if (!s.index.InsertIfAbsent(id, e)) {
-    delete e;  // another thread admitted this id concurrently
-    misses_.Add(1);
-    return false;
-  }
-  s.resident.fetch_add(1, std::memory_order_relaxed);
   misses_.Add(1);
-
-  std::vector<Entry*> victims;
-  s.gate.Submit(e, [this, &s, &victims] { DrainLocked(s, victims); });
+  thread_local std::vector<Entry*> victims;
+  {
+    std::lock_guard<ShardLock> lock(s.lock);
+    if (s.index.Find(id) == nullptr) {
+      LinkLocked(s, e, victims);
+      s.index.InsertIfAbsent(id, e);
+      s.resident.store(s.list.size(), std::memory_order_relaxed);
+      e = nullptr;
+    }
+  }
+  delete e;  // non-null: another thread admitted this id first
   for (Entry* victim : victims) {
-    s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
     RetireEntry(victim);
   }
+  victims.clear();
   return false;
 }
 
-void ConcurrentLruOptimized::DrainLocked(Shard& s, std::vector<Entry*>& victims) {
-  Entry* e = nullptr;
-  while (s.gate.pending().TryPop(&e)) {
-    s.list.PushFront(e);
-    ++s.linked;
-    while (s.linked > s.capacity_objects && !s.list.empty()) {
-      Entry* victim = s.list.Back();
-      if (victim == nullptr || victim == e) {
-        break;  // pathological capacity-1 shard
-      }
-      s.list.Remove(victim);
-      --s.linked;
-      s.resident.fetch_sub(1, std::memory_order_relaxed);
-      victims.push_back(victim);
+void ConcurrentLruOptimized::LinkLocked(Shard& s, Entry* e, std::vector<Entry*>& victims) {
+  s.list.PushFront(e);
+  while (s.list.size() > s.capacity_objects) {
+    Entry* victim = s.list.Back();
+    if (victim == e) {
+      break;  // pathological capacity-1 shard
     }
+    s.list.Remove(victim);
+    s.index.Erase(victim->id);
+    victims.push_back(victim);
   }
 }
 

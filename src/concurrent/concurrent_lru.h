@@ -74,19 +74,20 @@ class ConcurrentLruOptimized : public ConcurrentCache {
   using Queue = IntrusiveList<Entry, &Entry::hook>;
 
   struct alignas(64) Shard {
-    Shard(uint64_t capacity, unsigned index_shards, uint64_t pending_capacity)
-        : capacity_objects(capacity), index(capacity, index_shards), gate(pending_capacity) {}
+    Shard(uint64_t capacity, unsigned index_shards)
+        : capacity_objects(capacity), index(capacity, index_shards) {}
 
     const uint64_t capacity_objects;
-    LockFreeHashMap<Entry*> index;
-    EvictionGate<Entry*> gate;
-    Queue list;  // guarded by the gate lock; back = least recently used
-    uint64_t linked = 0;
-    std::atomic<uint64_t> resident{0};
+    LockFreeHashMap<Entry*> index;  // written under `lock`, read lock-free
+    ShardLock lock;
+    Queue list;  // guarded by `lock`; back = least recently used
+    std::atomic<uint64_t> resident{0};  // list.size(), stored at each unlock
   };
 
   Shard& ShardFor(uint64_t id) { return *shards_[CacheShardFor(id, num_shards_)]; }
-  void DrainLocked(Shard& s, std::vector<Entry*>& victims);
+  // Under the shard lock: links `e`, then evicts from the back until the
+  // list fits, unpublishing each victim.
+  void LinkLocked(Shard& s, Entry* e, std::vector<Entry*>& victims);
   static void RetireEntry(Entry* e);
 
   const ConcurrentCacheConfig config_;

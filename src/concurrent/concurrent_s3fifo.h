@@ -6,11 +6,14 @@
 //    a shard mutex as in the seed implementation.
 //  * Misses touch only per-shard state: the cache is hash-partitioned into
 //    independent sub-caches, each with its own small/main queues, ghost
-//    fingerprint table and eviction lock. The miss path publishes the new
-//    entry to the index, then submits link+evict work through a
-//    try-lock-and-delegate EvictionGate — a thread that loses the lock race
-//    queues its work instead of blocking, and the winning thread drains the
-//    whole batch under one lock acquisition (batched eviction).
+//    fingerprint table and one ShardLock. A miss builds its entry outside
+//    the lock, then takes the lock once and, in one critical section,
+//    re-checks the index, evicts to make room (unpublishing each victim from
+//    the index), checks the ghost, links the entry and publishes it. Victims
+//    are EBR-retired after the unlock.
+//  * An entry and its first value share one block, recycled through a
+//    bounded per-thread pool that EBR refills; admission allocates nothing
+//    from the heap in steady state.
 //
 // Because skewed workloads are hit-dominated, this removes every shared
 // cache line from the critical path — the scalability argument of the paper,
@@ -44,61 +47,62 @@ class ConcurrentS3Fifo : public ConcurrentCache {
   void GetBatch(const uint64_t* ids, uint32_t count, uint8_t* hits,
                 ValueSink* sink = nullptr) override;
   // Insert-or-replace with explicit bytes. A resident object's value is
-  // swapped via an atomic pointer exchange (old buffer EBR-retired so
+  // swapped via an atomic pointer exchange (old heap buffer EBR-retired so
   // lock-free readers finish safely); a miss admits through the normal
-  // S3-FIFO miss path carrying the provided bytes.
+  // S3-FIFO miss path carrying the provided bytes inline.
   bool Set(uint64_t id, const char* data, uint32_t size) override;
-  // Unpublishes from the index, unlinks from its queue under the gate lock
-  // (or marks a still-pending entry dead for DrainLocked to discard), and
-  // EBR-retires the entry. No ghost insertion — matches the simulator's
-  // explicit-delete semantics.
+  // Finds, unpublishes and unlinks under the shard lock, then EBR-retires
+  // the entry. No ghost insertion — matches the simulator's explicit-delete
+  // semantics.
   bool Delete(uint64_t id) override;
   std::string Name() const override { return "s3fifo"; }
   uint64_t ApproxSize() const override;
   ConcurrentCacheStats Stats() const override;
 
  private:
-  // Heap block holding one value; entries point at it through an atomic so
-  // `set` on a resident object can republish without disturbing concurrent
-  // lock-free readers (the old block is EBR-retired).
+  // A value: inline in its entry's block (the first value) or a heap block
+  // swapped in by a `set` on the resident entry. Entries point at it through
+  // an atomic so a `set` can republish without disturbing concurrent
+  // lock-free readers (the old heap block is EBR-retired).
   struct ValueBuf {
     uint32_t size = 0;
     char data[1];  // over-allocated to `size` bytes
   };
   static ValueBuf* MakeBuf(const char* data, uint32_t size);
-  static ValueBuf* MakeFillBuf(uint64_t id, uint32_t size);
   static void FreeBuf(ValueBuf* buf);
 
   struct Entry {
-    ~Entry();
     uint64_t id = 0;
     std::atomic<uint8_t> freq{0};
-    bool in_small = true;   // guarded by the shard's gate lock
-    bool dead = false;      // guarded by the gate lock: Delete'd while pending
+    bool in_small = true;  // guarded by the shard lock
+    ListHook hook;         // guarded by the shard lock; linked <=> published
     std::atomic<ValueBuf*> value{nullptr};
-    ListHook hook;  // hook.linked() (under the gate lock) <=> on small/main
+    ValueBuf inline_value;  // last member: the block is over-allocated for it
   };
   using Queue = IntrusiveList<Entry, &Entry::hook>;
 
+  // Bytes of an entry block whose inline value holds `size` bytes.
+  static size_t BlockBytes(uint32_t size);
+  // `data` null fills `size` bytes of the id's low byte (on-demand fill).
+  static Entry* NewEntry(uint64_t id, const char* data, uint32_t size);
+  static void FreeEntry(Entry* e);
+  static void RetireEntry(Entry* e);
+
   struct alignas(64) Shard {
-    Shard(uint64_t capacity, uint64_t small_target, unsigned index_shards,
-          uint64_t pending_capacity)
+    Shard(uint64_t capacity, uint64_t small_target, unsigned index_shards)
         : capacity_objects(capacity),
           small_target(small_target),
           index(capacity, index_shards),
-          gate(pending_capacity),
           ghost(std::max<uint64_t>(capacity - small_target, 1)) {}
 
     const uint64_t capacity_objects;
     const uint64_t small_target;
-    LockFreeHashMap<Entry*> index;
-    EvictionGate<Entry*> gate;
-    // Everything below is guarded by the gate lock.
+    LockFreeHashMap<Entry*> index;  // written under `lock`, read lock-free
+    ShardLock lock;
+    // Everything below is guarded by `lock`.
     Queue small, main;
-    uint64_t small_count = 0;
-    uint64_t main_count = 0;
     GhostTable ghost;
-    // Published entries (linked + still pending); aggregated by ApproxSize.
+    // small.size() + main.size(), stored at each unlock for ApproxSize.
     std::atomic<uint64_t> resident{0};
   };
 
@@ -106,16 +110,16 @@ class ConcurrentS3Fifo : public ConcurrentCache {
 
   // One request, caller already pinned (EBR guard held). `set_data` non-null
   // makes it a `set` (value stored/replaced); null is an on-demand-fill get.
+  // Returns whether it hit; the caller counts it.
   bool AccessPinned(uint64_t id, const char* set_data, uint32_t set_size, uint32_t batch_index,
                     ValueSink* sink);
+  // The miss path: one critical section under the shard lock.
+  void Admit(Shard& s, uint64_t id, const char* set_data, uint32_t set_size);
 
-  // All three run under the shard's gate lock. Victims are collected for
-  // out-of-lock index unpublish + EBR retire.
-  void DrainLocked(Shard& s, std::vector<Entry*>& victims);
+  // Both run under the shard lock; each victim is unpublished from the index
+  // and collected for EBR retirement after the unlock.
   void EvictFromSmall(Shard& s, std::vector<Entry*>& victims);
   void EvictFromMain(Shard& s, std::vector<Entry*>& victims);
-
-  static void RetireEntry(Entry* e);
 
   const ConcurrentCacheConfig config_;
   const uint32_t move_threshold_;

@@ -1,6 +1,7 @@
 #include "src/concurrent/concurrent_tinylfu.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "src/concurrent/value_payload.h"
 #include "src/util/hash.h"
@@ -41,25 +42,19 @@ ConcurrentTinyLfu::ConcurrentTinyLfu(const ConcurrentCacheConfig& config, double
     const uint64_t protected_capacity =
         std::max<uint64_t>(main_capacity - probation_capacity, 1);
     shards_.push_back(std::make_unique<Shard>(window_capacity, probation_capacity,
-                                              protected_capacity, capacity, index_shards,
-                                              /*pending_capacity=*/256));
+                                              protected_capacity, capacity, index_shards));
   }
 }
 
 ConcurrentTinyLfu::~ConcurrentTinyLfu() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
-    s.gate.WithLock([&s] {
-      Entry* e = nullptr;
-      while (s.gate.pending().TryPop(&e)) {
-        delete e;
+    std::lock_guard<ShardLock> lock(s.lock);
+    for (Queue* q : {&s.window, &s.probation, &s.protected_q}) {
+      while (Entry* x = q->PopBack()) {
+        delete x;
       }
-      for (Queue* q : {&s.window, &s.probation, &s.protected_q}) {
-        while (Entry* x = q->PopBack()) {
-          delete x;
-        }
-      }
-    });
+    }
   }
 }
 
@@ -116,11 +111,12 @@ bool ConcurrentTinyLfu::Get(uint64_t id) {
     (void)ReadValuePayload(e->value.get(), config_.value_size);
     // Hits need the list lock for SLRU promotions — the cost the paper calls
     // out; sharding shrinks the critical section's scope but not its nature.
-    s.gate.WithLock([this, &s, e] {
+    {
+      std::lock_guard<ShardLock> lock(s.lock);
       if (e->hook.linked()) {  // not concurrently evicted
         PromoteLocked(s, e);
       }
-    });
+    }
     hits_.Add(1);
     return true;
   }
@@ -128,20 +124,27 @@ bool ConcurrentTinyLfu::Get(uint64_t id) {
   Entry* e = new Entry;
   e->id = id;
   e->value = MakeValuePayload(id, config_.value_size);
-  if (!s.index.InsertIfAbsent(id, e)) {
-    delete e;
-    misses_.Add(1);
-    return false;
-  }
-  s.resident.fetch_add(1, std::memory_order_relaxed);
   misses_.Add(1);
-
-  std::vector<Entry*> victims;
-  s.gate.Submit(e, [this, &s, &victims] { DrainLocked(s, victims); });
+  thread_local std::vector<Entry*> victims;
+  {
+    std::lock_guard<ShardLock> lock(s.lock);
+    if (s.index.Find(id) == nullptr) {
+      s.window.PushFront(e);
+      ++s.window_count;
+      HandleOverflowLocked(s, victims);
+      // The window holds at least one entry besides the newest, so the
+      // overflow pass never rejects `e` itself.
+      s.index.InsertIfAbsent(id, e);
+      s.resident.store(s.window_count + s.probation_count + s.protected_count,
+                       std::memory_order_relaxed);
+      e = nullptr;
+    }
+  }
+  delete e;  // non-null: another thread admitted this id first
   for (Entry* victim : victims) {
-    s.index.EraseIf(victim->id, [victim](Entry* v) { return v == victim; });
     RetireEntry(victim);
   }
+  victims.clear();
   return false;
 }
 
@@ -173,14 +176,9 @@ void ConcurrentTinyLfu::PromoteLocked(Shard& s, Entry* e) {
   }
 }
 
-void ConcurrentTinyLfu::DrainLocked(Shard& s, std::vector<Entry*>& victims) {
-  Entry* e = nullptr;
-  while (s.gate.pending().TryPop(&e)) {
-    e->where = Where::kWindow;
-    s.window.PushFront(e);
-    ++s.window_count;
-    HandleOverflowLocked(s, victims);
-  }
+void ConcurrentTinyLfu::EvictLocked(Shard& s, Entry* victim, std::vector<Entry*>& victims) {
+  s.index.Erase(victim->id);
+  victims.push_back(victim);
 }
 
 void ConcurrentTinyLfu::HandleOverflowLocked(Shard& s, std::vector<Entry*>& victims) {
@@ -203,8 +201,7 @@ void ConcurrentTinyLfu::HandleOverflowLocked(Shard& s, std::vector<Entry*>& vict
       victim = s.protected_q.Back();
     }
     if (victim == nullptr) {
-      s.resident.fetch_sub(1, std::memory_order_relaxed);
-      victims.push_back(candidate);
+      EvictLocked(s, candidate, victims);
       continue;
     }
     if (SketchEstimate(candidate->id) > SketchEstimate(victim->id)) {
@@ -215,14 +212,12 @@ void ConcurrentTinyLfu::HandleOverflowLocked(Shard& s, std::vector<Entry*>& vict
         s.protected_q.Remove(victim);
         --s.protected_count;
       }
-      s.resident.fetch_sub(1, std::memory_order_relaxed);
-      victims.push_back(victim);
+      EvictLocked(s, victim, victims);
       candidate->where = Where::kProbation;
       s.probation.PushFront(candidate);
       ++s.probation_count;
     } else {
-      s.resident.fetch_sub(1, std::memory_order_relaxed);
-      victims.push_back(candidate);
+      EvictLocked(s, candidate, victims);
     }
   }
 }

@@ -37,7 +37,7 @@ class ConcurrentTinyLfu : public ConcurrentCache {
 
   struct Entry {
     uint64_t id = 0;
-    Where where = Where::kWindow;  // guarded by the shard's gate lock
+    Where where = Where::kWindow;  // guarded by the shard lock
     std::unique_ptr<char[]> value;
     ListHook hook;
   };
@@ -45,21 +45,21 @@ class ConcurrentTinyLfu : public ConcurrentCache {
 
   struct alignas(64) Shard {
     Shard(uint64_t window_capacity, uint64_t probation_capacity, uint64_t protected_capacity,
-          uint64_t index_capacity, unsigned index_shards, uint64_t pending_capacity)
+          uint64_t index_capacity, unsigned index_shards)
         : window_capacity(window_capacity),
           probation_capacity(probation_capacity),
           protected_capacity(protected_capacity),
-          index(index_capacity, index_shards),
-          gate(pending_capacity) {}
+          index(index_capacity, index_shards) {}
 
     const uint64_t window_capacity;
     const uint64_t probation_capacity;
     const uint64_t protected_capacity;
-    LockFreeHashMap<Entry*> index;
-    EvictionGate<Entry*> gate;
-    // Everything below is guarded by the gate lock.
+    LockFreeHashMap<Entry*> index;  // written under `lock`, read lock-free
+    ShardLock lock;
+    // Everything below is guarded by `lock`.
     Queue window, probation, protected_q;
     uint64_t window_count = 0, probation_count = 0, protected_count = 0;
+    // Resident entries, stored at each unlock.
     std::atomic<uint64_t> resident{0};
   };
 
@@ -68,8 +68,10 @@ class ConcurrentTinyLfu : public ConcurrentCache {
   void SketchIncrement(uint64_t id);
   uint32_t SketchEstimate(uint64_t id) const;
   void PromoteLocked(Shard& s, Entry* e);
-  void DrainLocked(Shard& s, std::vector<Entry*>& victims);
+  // Under the shard lock: moves window overflow into the main segments,
+  // unpublishing each entry the admission filter rejects.
   void HandleOverflowLocked(Shard& s, std::vector<Entry*>& victims);
+  void EvictLocked(Shard& s, Entry* victim, std::vector<Entry*>& victims);
   static void RetireEntry(Entry* e);
 
   const ConcurrentCacheConfig config_;

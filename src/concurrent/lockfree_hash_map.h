@@ -7,9 +7,11 @@
 //     array using acquire loads. Publication order (key, then value with
 //     release) makes a (key, value) pair read value-first consistent; a
 //     reader can never observe key A paired with B's value.
-//   * Writers (insert/erase — the miss/evict path only) serialize on a
-//     per-shard mutex. Shards are independent sub-tables, so two misses in
-//     different shards never contend.
+//   * Writers (insert/erase — the miss/evict path only) must be serialized
+//     by the caller; the concurrent caches hold their sub-cache's ShardLock.
+//     The map stays split into independent sub-tables so that a rebuild,
+//     which runs inside the caller's critical section, copies only one
+//     small table.
 //   * Erase leaves a tombstone (value = null, slot stays "used") so reader
 //     probe chains are never broken mid-walk. Tombstones are purged by
 //     rebuilding the shard's table when occupancy crosses 3/4; the old table
@@ -25,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/concurrent/ebr.h"
@@ -39,8 +40,8 @@ class LockFreeHashMap {
 
  public:
   // `expected_entries` sizes each shard's table for ~1/2 load at the expected
-  // population (rebuilds handle transient growth); `num_shards` bounds writer
-  // concurrency and is rounded up to a power of two.
+  // population (rebuilds handle transient growth); `num_shards` sub-tables
+  // (rounded up to a power of two) bound the size of one rebuild.
   explicit LockFreeHashMap(uint64_t expected_entries, unsigned num_shards = 8) {
     unsigned shards = 1;
     while (shards < num_shards) {
@@ -100,10 +101,9 @@ class LockFreeHashMap {
   }
 
   // Inserts only if no live entry for `key` exists. Returns true if this call
-  // inserted. Takes the shard writer lock.
+  // inserted. Writer: the caller serializes it with every other writer.
   bool InsertIfAbsent(uint64_t key, V value) {
     Shard& s = ShardFor(key);
-    std::lock_guard<std::mutex> lock(s.mu);
     Table* t = s.table.load(std::memory_order_relaxed);
     if ((t->used + 1) * 4 > (t->mask + 1) * 3) {
       t = Rebuild(s, t);
@@ -136,11 +136,10 @@ class LockFreeHashMap {
 
   // Unpublishes `key` only if pred(value) holds, so an evictor removes
   // exactly the entry it owns. Returns true if erased; the caller must then
-  // retire the value via EBR.
+  // retire the value via EBR. Writer: the caller serializes it.
   template <typename Pred>
   bool EraseIf(uint64_t key, Pred&& pred) {
     Shard& s = ShardFor(key);
-    std::lock_guard<std::mutex> lock(s.mu);
     Table* t = s.table.load(std::memory_order_relaxed);
     uint64_t pos = Mix64(key) & t->mask;
     for (uint64_t probes = 0; probes <= t->mask; ++probes) {
@@ -166,11 +165,11 @@ class LockFreeHashMap {
     return EraseIf(key, [](V) { return true; });
   }
 
-  // Exact count of live entries (takes every shard lock; not for hot paths).
+  // Exact count of live entries. Reads writer state: the caller serializes
+  // it with the writers.
   size_t Size() const {
     size_t total = 0;
     for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
       total += s->size;
     }
     return total;
@@ -190,15 +189,14 @@ class LockFreeHashMap {
   struct Table {
     explicit Table(uint64_t n) : mask(n - 1), slots(n) {}
     const uint64_t mask;
-    uint64_t used = 0;  // claimed slots (live + tombstones); writer-lock only
+    uint64_t used = 0;  // claimed slots (live + tombstones); writers only
     std::vector<Slot> slots;
   };
 
   struct alignas(64) Shard {
     explicit Shard(uint64_t slots) : table(new Table(slots)) {}
-    mutable std::mutex mu;
     std::atomic<Table*> table;
-    uint64_t size = 0;  // live entries; guarded by mu
+    uint64_t size = 0;  // live entries; writers only
   };
 
   // Shard selection uses the high hash bits; in-table probing uses the low
@@ -210,7 +208,7 @@ class LockFreeHashMap {
 
   // Copies live entries into a fresh table (purging tombstones; doubling if
   // legitimately full) and publishes it; the old table is EBR-retired so
-  // concurrent readers mid-probe stay safe. Called under the shard lock.
+  // concurrent readers mid-probe stay safe. Writer.
   Table* Rebuild(Shard& s, Table* old) {
     const uint64_t old_slots = old->mask + 1;
     const uint64_t new_slots = (s.size + 1) * 4 > old_slots * 2 ? old_slots * 2 : old_slots;

@@ -1,15 +1,15 @@
 // Building blocks for the sharded concurrent prototypes: every cache is
-// hash-partitioned into independent sub-caches (each with its own index,
-// queues, ghost state and eviction lock), and each sub-cache's miss-path
-// mutations go through a try-lock-and-delegate EvictionGate so no thread
-// ever blocks on another shard-mate's eviction.
+// hash-partitioned into independent sub-caches, each with its own index,
+// queues, ghost state and one ShardLock. Hits read the index without
+// locking; every miss-path write of a sub-cache (link, evict, index publish
+// and unpublish) happens in one critical section under its ShardLock.
 #ifndef SRC_CONCURRENT_SHARDED_CACHE_H_
 #define SRC_CONCURRENT_SHARDED_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <thread>
 
-#include "src/concurrent/mpmc_queue.h"
 #include "src/util/hash.h"
 
 namespace s3fifo {
@@ -33,61 +33,45 @@ inline unsigned CacheShardFor(uint64_t id, unsigned num_shards) {
   return static_cast<unsigned>((Mix64(id) >> 32) & (num_shards - 1));
 }
 
-// Try-lock-and-delegate work gate (one per sub-cache). A missing thread
-// enqueues its link/evict work and only processes it if the shard's eviction
-// lock is free; a thread that loses the try_lock race returns immediately —
-// the current lock holder re-checks the queue after unlocking, so queued work
-// is always drained by *somebody* without anyone blocking. Misses therefore
-// batch naturally: one lock acquisition links and evicts for every request
-// that arrived while the previous holder was inside.
-template <typename Work>
-class EvictionGate {
- public:
-  explicit EvictionGate(uint64_t pending_capacity) : pending_(pending_capacity) {}
+// Spin hint for busy-wait loops: lets a hyperthread sibling run and keeps the
+// spinning core from flooding the lock's cache line.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
 
-  // Enqueues `w`; `drain()` is invoked under the gate lock and must pop and
-  // process everything in pending(). Never blocks unless the ring is full
-  // (pathological backlog), in which case it helps by draining synchronously.
-  template <typename DrainFn>
-  void Submit(const Work& w, DrainFn&& drain) {
-    while (!pending_.TryPush(w)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      drain();
-    }
-    while (mu_.try_lock()) {
-      drain();
-      mu_.unlock();
-      if (pending_.ApproxSize() == 0) {
-        return;
+// The per-sub-cache lock. Critical sections are a few list splices and index
+// slot writes, so a waiter spins (test-and-test-and-set, with a pause) for a
+// short while before yielding its core. Sits alone on its cache line so the
+// waiters' reads never bounce the index or queue headers next to it.
+// Satisfies Lockable: use it with std::lock_guard / std::unique_lock.
+class alignas(64) ShardLock {
+ public:
+  void lock() {
+    while (locked_.exchange(true, std::memory_order_acquire)) {
+      for (unsigned spins = 0; locked_.load(std::memory_order_relaxed);) {
+        if (++spins < kSpinsBeforeYield) {
+          CpuRelax();
+        } else {
+          std::this_thread::yield();
+        }
       }
     }
-    // try_lock failed: the current holder's post-unlock re-check owns our work.
   }
 
-  // Runs fn under the gate lock (destructors, maintenance).
-  template <typename Fn>
-  void WithLock(Fn&& fn) {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn();
+  bool try_lock() {
+    return !locked_.load(std::memory_order_relaxed) &&
+           !locked_.exchange(true, std::memory_order_acquire);
   }
 
-  // Non-blocking promotion attempt (optimized-LRU style): runs fn only if the
-  // lock is immediately available. Returns whether fn ran.
-  template <typename Fn>
-  bool TryWithLock(Fn&& fn) {
-    if (!mu_.try_lock()) {
-      return false;
-    }
-    fn();
-    mu_.unlock();
-    return true;
-  }
-
-  MpmcQueue<Work>& pending() { return pending_; }
+  void unlock() { locked_.store(false, std::memory_order_release); }
 
  private:
-  std::mutex mu_;
-  MpmcQueue<Work> pending_;
+  static constexpr unsigned kSpinsBeforeYield = 128;
+  std::atomic<bool> locked_{false};
 };
 
 }  // namespace s3fifo

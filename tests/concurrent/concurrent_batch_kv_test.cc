@@ -6,15 +6,21 @@
 //    resident bytes;
 //  * Set stores caller bytes (readable through the sink), replaces in place
 //    without growing the cache, and admits when absent;
-//  * Delete removes residency exactly once and composes with eviction.
+//  * Delete removes residency exactly once and composes with eviction;
+//  * racing Get/Set/Delete leave the index and the queues in agreement;
+//  * a value pointer handed to a sink stays valid while the reader is pinned,
+//    even after its entry was evicted and the cache recycled blocks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/concurrent/concurrent_s3fifo.h"
+#include "src/concurrent/ebr.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
 
@@ -179,9 +185,10 @@ TEST(DeleteTest, ComposesWithEvictionUnderChurn) {
 }
 
 TEST(DeleteTest, DeleteDuringPendingInsertionDiscards) {
-  // A delete that races the eviction gate's pending queue: admit more than
-  // the gate drains instantly, delete one of the just-admitted ids, and
-  // verify it is gone (dead-entry discard path) without corrupting counts.
+  // Delete straight after admission. A miss links and publishes its entry in
+  // one critical section, so there is no pending state for the delete to
+  // race: it must find, unpublish and unlink the entry, and the re-admission
+  // must be a fresh miss, without corrupting counts.
   ConcurrentCacheConfig config;
   config.capacity_objects = 1000;
   config.cache_shards = 1;
@@ -193,6 +200,125 @@ TEST(DeleteTest, DeleteDuringPendingInsertionDiscards) {
     ASSERT_TRUE(cache.Delete(id));
   }
   EXPECT_EQ(cache.ApproxSize(), 0u);
+}
+
+// Four threads mix Get, Set and Delete on a 64-id hot set. If the index and
+// the queues ever disagreed (an entry linked but unpublished, published but
+// unlinked, or counted twice), deleting every id afterwards would not succeed
+// exactly ApproxSize() times, or would leave residue behind.
+TEST(DeleteTest, RacingMixedOpsConserveResidency) {
+  struct Shape {
+    uint64_t capacity;
+    unsigned shards;
+  };
+  for (const Shape shape : {Shape{32, 1}, Shape{128, 4}}) {
+    ConcurrentCacheConfig config;
+    config.capacity_objects = shape.capacity;
+    config.cache_shards = shape.shards;
+    config.value_size = 16;
+    ConcurrentS3Fifo cache(config);
+
+    constexpr int kThreads = 4;
+    constexpr uint64_t kOps = 20000;
+    constexpr uint64_t kHotSet = 64;
+    std::atomic<uint64_t> counted_ops{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(500 + t);
+        char payload[24];
+        uint64_t counted = 0;
+        for (uint64_t i = 0; i < kOps; ++i) {
+          const uint64_t id = rng.NextBounded(kHotSet);
+          const uint64_t dice = rng.NextBounded(10);
+          if (dice < 6) {
+            cache.Get(id);
+            ++counted;
+          } else if (dice < 8) {
+            std::memset(payload, static_cast<int>(t), sizeof(payload));
+            cache.Set(id, payload, 1 + static_cast<uint32_t>(rng.NextBounded(sizeof(payload))));
+            ++counted;
+          } else {
+            cache.Delete(id);
+          }
+        }
+        counted_ops.fetch_add(counted);
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+
+    const ConcurrentCacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.hits + stats.misses, counted_ops.load());
+    const uint64_t resident = cache.ApproxSize();
+    ASSERT_LE(resident, shape.capacity);
+    uint64_t deleted = 0;
+    for (uint64_t id = 0; id < kHotSet; ++id) {
+      deleted += cache.Delete(id) ? 1 : 0;
+    }
+    EXPECT_EQ(deleted, resident) << "capacity " << shape.capacity;
+    EXPECT_EQ(cache.ApproxSize(), 0u);
+  }
+}
+
+// Records where each hit's bytes live instead of copying them.
+struct PointerSink final : public ValueSink {
+  std::map<uint32_t, std::pair<const char*, uint32_t>> values;
+  void OnValue(uint32_t index, const char* data, uint32_t size) override {
+    values[index] = {data, size};
+  }
+};
+
+// A reader that stays pinned may keep using the bytes a sink was handed: the
+// entry's block (inline first value) and a heap value swapped in by a Set
+// must both outlive eviction, and must not be recycled into a new entry,
+// until the reader unpins.
+TEST(EntryPoolTest, HeldValueSurvivesEvictionWhilePinned) {
+  ConcurrentCacheConfig config;
+  config.capacity_objects = 64;
+  config.cache_shards = 1;
+  config.value_size = 32;
+  ConcurrentS3Fifo cache(config);
+
+  const std::string inline_bytes(32, 'i');
+  const std::string heap_bytes(40, 'h');
+  ASSERT_TRUE(cache.Set(7, inline_bytes.data(), 32));  // admitted: inline value
+  ASSERT_TRUE(cache.Set(8, "first", 5));
+  ASSERT_TRUE(cache.Set(8, heap_bytes.data(), 40));  // resident: heap value
+
+  {
+    EbrDomain::Guard reader;
+    const uint64_t ids[2] = {7, 8};
+    uint8_t hits[2] = {};
+    PointerSink sink;
+    cache.GetBatch(ids, 2, hits, &sink);
+    ASSERT_EQ(hits[0], 1);
+    ASSERT_EQ(hits[1], 1);
+
+    // Churn from another thread: each new id is read three times, enough to
+    // earn promotion, so both queues turn over, 7 and 8 are evicted, and
+    // thousands of entries are admitted, retired and reclaimed around them.
+    std::thread churn([&] {
+      for (uint64_t i = 0; i < 60000; ++i) {
+        cache.Get(1000 + i / 3);
+        if (i % 1024 == 0) {
+          EbrDomain::Instance().ReclaimAll();
+        }
+      }
+      EbrDomain::Instance().ReclaimAll();
+    });
+    churn.join();
+
+    const uint64_t probe[2] = {7, 8};
+    uint8_t probe_hits[2] = {};
+    cache.GetBatch(probe, 2, probe_hits);
+    EXPECT_EQ(probe_hits[0], 0) << "id 7 was never evicted";
+    EXPECT_EQ(probe_hits[1], 0) << "id 8 was never evicted";
+    EXPECT_EQ(std::string(sink.values[0].first, sink.values[0].second), inline_bytes);
+    EXPECT_EQ(std::string(sink.values[1].first, sink.values[1].second), heap_bytes);
+  }
+  EbrDomain::Instance().ReclaimAll();
 }
 
 }  // namespace

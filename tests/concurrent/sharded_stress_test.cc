@@ -86,9 +86,9 @@ TEST_P(ShardedStressTest, MixedOpsManyThreads) {
   }
 
   EXPECT_GT(total_hits.load(), 0u);
-  // Transient over-admission is bounded by in-flight inserts (~one per
-  // thread) plus unprocessed delegated work (one pending ring per shard).
-  EXPECT_LE(cache->ApproxSize(), config.capacity_objects + kThreads + 256);
+  // A miss makes room and links under its shard's lock, so occupancy never
+  // exceeds capacity, even while other threads are mid-admission.
+  EXPECT_LE(cache->ApproxSize(), config.capacity_objects);
   const ConcurrentCacheStats stats = cache->Stats();
   EXPECT_EQ(stats.hits, total_hits.load());
   EXPECT_EQ(stats.hits + stats.misses,
@@ -118,7 +118,7 @@ TEST_P(ShardedStressTest, ChurnThenDrainReclaimsWithoutCrashing) {
   for (auto& t : threads) {
     t.join();
   }
-  EXPECT_LE(cache->ApproxSize(), config.capacity_objects + kThreads + 256);
+  EXPECT_LE(cache->ApproxSize(), config.capacity_objects);
   EbrDomain::Instance().ReclaimAll();
   SUCCEED();
 }
