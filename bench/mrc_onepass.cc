@@ -6,9 +6,10 @@
 // — and reports the wall-clock speedup and the maximum absolute difference
 // between the two curves. For the exact FIFO-family replicas the error
 // column must print 0; it is the acceptance gate for --mrc=onepass being the
-// bench default. A SHARDS row shows the streaming sampled estimator against
-// brute force for a policy the engine does NOT support (lru), where sampling
-// is the only one-pass option.
+// bench default, and the binary exits 1 when any exact row's per-size counts
+// (requests, hits, misses, bytes) differ from brute force. A SHARDS row shows
+// the streaming sampled estimator against brute force for a policy the
+// engine does NOT support (lru), where sampling is the only one-pass option.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -51,7 +52,13 @@ struct NamedTrace {
   Trace trace;
 };
 
-void Run(const BenchOptions& opts) {
+bool SameCounts(const SimResult& a, const SimResult& b) {
+  return a.requests == b.requests && a.hits == b.hits && a.misses == b.misses &&
+         a.bytes_requested == b.bytes_requested && a.bytes_missed == b.bytes_missed;
+}
+
+// Returns false when an exact row's counts differ from brute force.
+bool Run(const BenchOptions& opts) {
   PrintHeader("One-pass MRC engine: speedup and exactness vs brute force",
               "engine acceptance report (not a paper figure)");
   const double scale = BenchScale();
@@ -79,6 +86,7 @@ void Run(const BenchOptions& opts) {
   double log_speedup_sum = 0.0;
   int exact_rows = 0;
   double max_abs_err_overall = 0.0;
+  bool counts_match = true;
 
   std::printf("%-10s %-9s %5s %10s %10s %8s %12s\n", "trace", "policy", "sizes", "brute_ms",
               "onepass_ms", "speedup", "max_abs_err");
@@ -120,6 +128,13 @@ void Run(const BenchOptions& opts) {
       for (size_t i = 0; i < grid.size(); ++i) {
         max_abs_err =
             std::max(max_abs_err, std::fabs(onepass.miss_ratios[i] - brute[i].MissRatio()));
+        if (!SameCounts(onepass.results[i], brute[i])) {
+          counts_match = false;
+          std::fprintf(stderr, "MISMATCH %s %s size=%llu: onepass misses %llu, brute %llu\n",
+                       nt.name.c_str(), policy.c_str(), static_cast<unsigned long long>(grid[i]),
+                       static_cast<unsigned long long>(onepass.results[i].misses),
+                       static_cast<unsigned long long>(brute[i].misses));
+        }
       }
       const double speedup = brute_ms / std::max(onepass_ms, 1e-6);
       min_speedup = std::min(min_speedup, speedup);
@@ -187,12 +202,12 @@ void Run(const BenchOptions& opts) {
                      .Add("max_abs_err", max_abs_err_overall),
                  json_rows);
   source.WriteReport();
+  return counts_match;
 }
 
 }  // namespace
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
-  return 0;
+  return s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv)) ? 0 : 1;
 }

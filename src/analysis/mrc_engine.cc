@@ -10,82 +10,25 @@
 #include "src/analysis/shards.h"
 #include "src/util/flat_map.h"
 #include "src/util/params.h"
+#include "src/util/stamp_ring.h"
 
 namespace s3fifo {
 namespace {
 
 constexpr size_t kMaxSizesPerPass = 64;  // one residency bit per grid size
 
-// FIFO queues as lazy-stale rings instead of doubly-linked lists: the paper's
-// policies only ever insert at the head and pop (or reinsert) at the tail, so
-// a circular buffer of (seq, object) with a strided sequence-stamp array gives
+// FIFO queues as lazy-stale rings (util/stamp_ring.h) instead of
+// doubly-linked lists: the paper's policies only ever insert at the head and
+// pop (or reinsert) at the tail, so a circular buffer of (stamp, object) gives
 // the same order with sequential-memory pushes/pops — no per-miss pointer
 // surgery into a K-strided link array, which is what blows the cache once the
 // grid widens (eviction cost was dominated by DRAM misses on neighbor links).
-// An entry is live iff the object is still in that queue AND its stamp for
-// this size matches; deletes/moves just change the stamp or a membership bit
-// and the dead entry is skipped (and eventually compacted) lazily — the same
-// scheme util/ghost_queue.h uses to skip stale ids.
-//
-// The buffer is a power-of-two array addressed by monotone absolute indices
-// (head/tail only ever advance; an entry's position is abs & mask). Callers
-// compact before the stale fraction can outgrow the reserved capacity, so a
-// push never overwrites a live entry.
-class EntryRing {
- public:
-  // Capacity for every compaction discipline used here: queues compact at
-  // size > 2*live + 64 with live <= cap, ghosts drain at size > 2*cap + 16.
-  void Reserve(uint64_t cap) {
-    uint64_t n = 1;
-    while (n < 2 * cap + 80) {
-      n <<= 1;
-    }
-    buf_.resize(n);
-    mask_ = n - 1;
-  }
-
-  bool empty() const { return head_ == tail_; }
-  uint64_t size() const { return tail_ - head_; }
-  uint64_t head_abs() const { return head_; }
-  uint64_t tail_abs() const { return tail_; }
-
-  const std::pair<uint32_t, uint32_t>& front() const { return buf_[head_ & mask_]; }
-  const std::pair<uint32_t, uint32_t>& at_abs(uint64_t abs) const { return buf_[abs & mask_]; }
-
-  void pop_front() { ++head_; }
-
-  void push_back(uint32_t seq, uint32_t oi) {
-    buf_[tail_ & mask_] = {seq, oi};
-    ++tail_;
-  }
-
-  // Drops entries failing keep(), preserving order. Returns the new absolute
-  // index of the first kept entry whose old absolute index was >= track (the
-  // sentinel ~0 tracks nothing and maps to ~0) — used by SIEVE's hand.
-  template <typename Keep>
-  uint64_t Compact(const Keep& keep, uint64_t track = ~uint64_t{0}) {
-    uint64_t mapped = ~uint64_t{0};
-    uint64_t w = head_;
-    for (uint64_t r = head_; r != tail_; ++r) {
-      const auto e = buf_[r & mask_];
-      if (keep(e.second, e.first)) {
-        if (r >= track && mapped == ~uint64_t{0}) {
-          mapped = w;
-        }
-        buf_[w & mask_] = e;
-        ++w;
-      }
-    }
-    tail_ = w;
-    return mapped;
-  }
-
- private:
-  std::vector<std::pair<uint32_t, uint32_t>> buf_;
-  uint64_t mask_ = 0;
-  uint64_t head_ = 0;  // absolute index of the oldest entry
-  uint64_t tail_ = 0;  // absolute index one past the newest entry
-};
+// An entry is live iff the object's word for this size (below) still carries
+// the entry's stamp (and, for S3-FIFO, the right resident/ghost bits);
+// deletes/moves just change the word and the dead entry is skipped (and
+// eventually compacted) lazily. Every ring is Reserve()d up front for its
+// compaction discipline, which keeps every push in bounds.
+using EntryRing = StampRing<uint32_t, uint32_t>;
 
 struct Ring {
   EntryRing q;
@@ -94,119 +37,22 @@ struct Ring {
 
 // Per-(object, size) state is ONE 32-bit word: bit 31 is the resident flag,
 // policy metadata (clock's ref counter, SIEVE's visited bit, S3-FIFO's
-// freq + small-vs-main bit) sits below it, and the live sequence stamp fills
-// the low bits. An object's words for all K sizes of a pass are contiguous
-// (seq_[oi * stride + k]), so the request path gathers the residency mask
-// from their sign bits with one or two cache lines, the hit path updates
-// metadata in those same already-warm lines, and the eviction loops decide
-// liveness AND read metadata with a single scattered load per victim — the
-// only cold line the per-size miss work touches. A ring entry is live iff
-// the word's stamp field still equals the entry's stamp; everything that
-// kills an object at one size either pops its entry outright or *bumps* the
-// stamp (which also clears the resident flag and metadata). Stamp fields are
+// freq + small-vs-main bit, or its ghost flags while not resident) sits
+// below it, and the live sequence stamp fills the low bits. An object's
+// words for all K sizes of a pass are contiguous (seq_[oi * stride + k]), so
+// the request path gathers the residency mask from their sign bits with one
+// or two cache lines, the hit path updates metadata in those same
+// already-warm lines, and the eviction loops decide liveness AND read
+// metadata with a single scattered load per victim — the only cold line the
+// per-size miss work touches. A ring entry is live iff the word's stamp
+// field still equals the entry's stamp; everything that kills an object at
+// one size either pops its entry outright or rewrites the stamp (a *bump*
+// also clears the resident flag and metadata). Stamp fields are
 // >= 22 bits and wrap is safe: a dead entry is flushed by the next ring
 // compaction, at most ~2*cap + 64 pushes away, which is far fewer than the
 // 2^22+ pushes a stamp collision would need (grid capacities are nowhere
 // near 2^22 objects).
 constexpr uint32_t kResidentBit = 0x80000000u;
-
-// Exact replica of util/ghost_queue.h's GhostQueue (seq-stamped FIFO with
-// refresh-on-reinsert and lazy stale skipping) for ALL sizes of one pass,
-// over dense object indices instead of an id hash map: membership is one
-// bit per (object, size) and the live sequence stamp is a strided array, so
-// the per-miss ghost probes — the dominant cost of a multi-size S3-FIFO
-// pass — are bit tests instead of hash lookups. The live set after any
-// operation history, and the order evictions happen in, are identical to
-// GhostQueue's: both are determined purely by (id, seq) liveness.
-//
-// Sequence stamps are uint32: a pass would need > 4B ghost inserts into ONE
-// size's queue to wrap, and ghost inserts are bounded by per-size misses.
-class GhostDense {
- public:
-  explicit GhostDense(size_t num_sizes) : stride_(num_sizes), per_(num_sizes) {}
-
-  void SetCapacity(int k, uint64_t capacity) {
-    per_[k].cap = std::max<uint64_t>(capacity, 1);
-    per_[k].fifo.Reserve(per_[k].cap);
-  }
-
-  void SetNumObjects(uint32_t n) {
-    bits_.assign(n, 0);
-    seq_.assign(size_t{n} * stride_, 0);
-  }
-
-  bool Contains(uint32_t oi, int k) const { return (bits_[oi] >> k) & 1; }
-
-  void PrefetchBits(uint32_t oi) const { __builtin_prefetch(&bits_[oi]); }
-
-  void PrefetchSeq(uint32_t oi) const { __builtin_prefetch(&seq_[size_t{oi} * stride_]); }
-
-  void Remove(uint32_t oi, int k) {
-    if ((bits_[oi] >> k) & 1) {
-      bits_[oi] &= ~(1ull << k);
-      --per_[k].size;  // deque entries for oi go stale via the bit check
-    }
-  }
-
-  bool HitAndErase(uint32_t oi, int k) {
-    if (((bits_[oi] >> k) & 1) == 0) {
-      return false;
-    }
-    Remove(oi, k);
-    return true;
-  }
-
-  void Insert(uint32_t oi, int k) {
-    PerSize& p = per_[k];
-    if (((bits_[oi] >> k) & 1) == 0) {
-      while (p.size >= p.cap) {
-        EvictOldest(k);
-      }
-      bits_[oi] |= 1ull << k;
-      ++p.size;
-    }
-    const uint32_t seq = p.next_seq++;  // refresh: any older entry goes stale
-    seq_[size_t{oi} * stride_ + k] = seq;
-    p.fifo.push_back(seq, oi);
-    if (p.fifo.size() > 2 * p.cap + 16) {
-      p.fifo.Compact([this, k](uint32_t v, uint32_t s) { return Live(s, v, k); });
-    }
-  }
-
- private:
-  struct PerSize {
-    uint64_t cap = 1;
-    uint64_t size = 0;  // live entries
-    uint32_t next_seq = 0;
-    EntryRing fifo;  // (seq, oi), oldest first
-  };
-
-  bool Live(uint32_t seq, uint32_t oi, int k) const {
-    return ((bits_[oi] >> k) & 1) != 0 && seq_[size_t{oi} * stride_ + k] == seq;
-  }
-
-  void EvictOldest(int k) {
-    PerSize& p = per_[k];
-    while (!p.fifo.empty()) {
-      const auto [seq, oi] = p.fifo.front();
-      p.fifo.pop_front();
-      if (!p.fifo.empty()) {
-        __builtin_prefetch(&seq_[size_t{p.fifo.front().second} * stride_ + k]);
-        __builtin_prefetch(&bits_[p.fifo.front().second]);
-      }
-      if (Live(seq, oi, k)) {
-        bits_[oi] &= ~(1ull << k);
-        --p.size;
-        return;
-      }
-    }
-  }
-
-  size_t stride_;
-  std::vector<uint64_t> bits_;  // [oi] per-size membership
-  std::vector<uint32_t> seq_;   // [oi * stride + k] live sequence stamp
-  std::vector<PerSize> per_;
-};
 
 // The id -> dense-index mapping is policy- and size-independent, so it is
 // built ONCE per curve (InternTrace below) instead of probed per request
@@ -301,7 +147,7 @@ class FifoEngine {
   void PrefetchVictim(uint32_t /*oi*/, int k) const {
     const Ring& r = rings_[k];
     if (r.live >= caps_[k] && !r.q.empty()) {
-      __builtin_prefetch(&seq_[size_t{r.q.front().second} * stride_ + k]);
+      __builtin_prefetch(&seq_[size_t{r.q.front().id} * stride_ + k]);
     }
   }
 
@@ -313,7 +159,7 @@ class FifoEngine {
       const auto [s, v] = r.q.front();
       r.q.pop_front();
       if (!r.q.empty()) {
-        __builtin_prefetch(&seq_[size_t{r.q.front().second} * stride_ + k]);
+        __builtin_prefetch(&seq_[size_t{r.q.front().id} * stride_ + k]);
       }
       uint32_t& word = seq_[size_t{v} * stride_ + k];
       if ((word & kSeqMask) == s) {
@@ -395,7 +241,7 @@ class ClockEngine {
   void PrefetchVictim(uint32_t /*oi*/, int k) const {
     const Ring& r = rings_[k];
     if (r.live >= caps_[k] && !r.q.empty()) {
-      __builtin_prefetch(&seq_[size_t{r.q.front().second} * stride_ + k]);
+      __builtin_prefetch(&seq_[size_t{r.q.front().id} * stride_ + k]);
     }
   }
 
@@ -421,7 +267,7 @@ class ClockEngine {
       const auto [s, v] = r.q.front();
       r.q.pop_front();
       if (!r.q.empty()) {
-        __builtin_prefetch(&seq_[size_t{r.q.front().second} * stride_ + k]);
+        __builtin_prefetch(&seq_[size_t{r.q.front().id} * stride_ + k]);
       }
       uint32_t& word = seq_[size_t{v} * stride_ + k];
       if ((word & seq_mask_) != s) {
@@ -513,7 +359,7 @@ class SieveEngine {
     const uint64_t end = r.q.tail_abs();
     const uint64_t pos =
         (hands_[k] == kNoHand || hands_[k] < base || hands_[k] >= end) ? base : hands_[k];
-    __builtin_prefetch(&seq_[size_t{r.q.at_abs(pos).second} * stride_ + k]);
+    __builtin_prefetch(&seq_[size_t{r.q.at_abs(pos).id} * stride_ + k]);
   }
 
   // Branchless over ALL K contiguous words: set visited on resident words
@@ -529,7 +375,7 @@ class SieveEngine {
     Ring& r = rings_[k];
     while (r.live + 1 > caps_[k]) {
       // Drop stale fronts so a wrap lands on the true tail.
-      while (!r.q.empty() && !Live(r.q.front().second, k, r.q.front().first)) {
+      while (!r.q.empty() && !Live(r.q.front().id, k, r.q.front().stamp)) {
         r.q.pop_front();
       }
       if (r.live == 0) {
@@ -547,7 +393,7 @@ class SieveEngine {
         }
         const auto [es, ev] = r.q.at_abs(pos);
         const uint64_t nxt = pos + 1 >= end ? base : pos + 1;
-        __builtin_prefetch(&seq_[size_t{r.q.at_abs(nxt).second} * stride_ + k]);
+        __builtin_prefetch(&seq_[size_t{r.q.at_abs(nxt).id} * stride_ + k]);
         uint32_t& word = seq_[size_t{ev} * stride_ + k];
         if ((word & kSeqMask) != es) {
           ++pos;  // stale
@@ -615,6 +461,15 @@ class SieveEngine {
 // Replicates S3FifoCache::{Access, EnsureFree, EvictFromSmall, EvictFromMain,
 // Remove} plus S3FifoDCache::{OnMissLookup, MaybeRebalance} for count-based
 // configs with ghost_type=exact and plain FIFO queue types.
+//
+// The ghosts live in the words too: an object in any ghost is not resident
+// (a miss leaves both S3-FIFO-D shadows, a ghost hit leaves G, before the
+// object is pushed), so a non-resident word flags G and the two shadows in
+// bits 28-30, and each ghost is a ring of (stamp, object) checked against
+// the word. A demotion enters G and the small-evicted shadow under one fresh
+// stamp, a main eviction enters the main-evicted shadow under another, no
+// entry is ever refreshed, and a ghost eviction clears only its own flag.
+// The ghost check reads the words line the request already prefetched.
 class S3FifoEngine {
  public:
   S3FifoEngine(const std::vector<uint64_t>& caps, const CacheConfig& config, bool adaptive,
@@ -626,8 +481,8 @@ class S3FifoEngine {
         small_(caps.size()),
         main_(caps.size()),
         ghost_(caps.size()),
-        small_ev_(caps.size()),
-        main_ev_(caps.size()) {
+        small_ev_(adaptive ? caps.size() : 0),
+        main_ev_(adaptive ? caps.size() : 0) {
     seq_.assign(size_t{num_objects} * stride_, 0);
     const Params params(config.params);
     const double small_ratio = std::clamp(params.GetDouble("small_ratio", 0.1), 0.001, 0.999);
@@ -635,12 +490,13 @@ class S3FifoEngine {
         std::clamp<uint64_t>(params.GetU64("move_to_main_threshold", 2), 1, 16));
     max_freq_ =
         static_cast<uint32_t>(std::clamp<uint64_t>(params.GetU64("max_freq", 3), 1, 255));
-    // Word layout: [resident : 1][in_small : 1][freq : fb][stamp : 30 - fb],
-    // fb just wide enough for max_freq. One size's stamps are shared by its
-    // small and main rings (a per-size counter), so the stamp compare alone
-    // identifies which ring holds the object's live entry.
+    // Word layout, resident:     [1][in_small : 1][freq : fb][stamp]
+    //              not resident: [0][G : 1][small_ev : 1][main_ev : 1][stamp]
+    // fb is just wide enough for max_freq; the stamp stops below bit 28 so
+    // the ghost flags never overlap it (>= 22 bits at max_freq=255). All of
+    // a size's rings share one stamp counter.
     const uint32_t fb = static_cast<uint32_t>(std::bit_width(max_freq_));
-    seq_bits_ = 30 - fb;
+    seq_bits_ = std::min(30 - fb, 28u);
     seq_mask_ = (1u << seq_bits_) - 1;
     freq_one_ = 1u << seq_bits_;
     freq_mask_ = (1u << fb) - 1;
@@ -651,11 +507,6 @@ class S3FifoEngine {
     const double imbalance = params.GetDouble("adapt_imbalance", 2.0);
     const double step_ratio = params.GetDouble("adapt_step_ratio", 0.001);
 
-    ghost_.SetNumObjects(num_objects);
-    if (adaptive_) {
-      small_ev_.SetNumObjects(num_objects);
-      main_ev_.SetNumObjects(num_objects);
-    }
     per_.resize(caps.size());
     for (size_t k = 0; k < caps.size(); ++k) {
       const uint64_t cap = caps[k];
@@ -669,13 +520,12 @@ class S3FifoEngine {
       small_[k].q.Reserve(cap);
       main_[k].q.Reserve(cap);
       // Count-based config: ghost entries scale with the capacity itself.
-      ghost_.SetCapacity(static_cast<int>(k),
-                         std::max<uint64_t>(static_cast<uint64_t>(cap * ghost_ratio), 1));
+      ghost_[k].Init(std::max<uint64_t>(static_cast<uint64_t>(cap * ghost_ratio), 1), kGhostBit);
       if (adaptive_) {
         const uint64_t shadow =
             std::max<uint64_t>(static_cast<uint64_t>(cap * adapt_ghost_ratio), 1);
-        small_ev_.SetCapacity(static_cast<int>(k), shadow);
-        main_ev_.SetCapacity(static_cast<int>(k), shadow);
+        small_ev_[k].Init(shadow, kSmallEvBit);
+        main_ev_[k].Init(shadow, kMainEvBit);
         s.min_hits = min_hits;
         s.imbalance = imbalance;
         s.step = std::max<uint64_t>(static_cast<uint64_t>(cap * step_ratio), 1);
@@ -689,13 +539,10 @@ class S3FifoEngine {
     return EngineCore::GatherMask(&seq_[size_t{oi} * stride_], stride_);
   }
 
-  void PrefetchWords(uint32_t oi) const {
-    __builtin_prefetch(&seq_[size_t{oi} * stride_]);
-    ghost_.PrefetchBits(oi);
-  }
+  void PrefetchWords(uint32_t oi) const { __builtin_prefetch(&seq_[size_t{oi} * stride_]); }
 
   // Prefetch the word of the queue head that EnsureFree would evict from
-  // first (the ghost line is already covered by PrefetchWords).
+  // first; a demotion rewrites that same word.
   void PrefetchVictim(uint32_t /*oi*/, int k) const {
     const PerSize& s = per_[k];
     if (small_[k].live + main_[k].live < s.cap) {
@@ -705,10 +552,7 @@ class S3FifoEngine {
         (small_[k].live > s.small_target && small_[k].live > 0) || main_[k].live == 0;
     const Ring& r = from_small ? small_[k] : main_[k];
     if (!r.q.empty()) {
-      __builtin_prefetch(&seq_[size_t{r.q.front().second} * stride_ + k]);
-      if (from_small) {
-        ghost_.PrefetchSeq(r.q.front().second);  // a demotion writes its stamp
-      }
+      __builtin_prefetch(&seq_[size_t{r.q.front().id} * stride_ + k]);
     }
   }
 
@@ -726,11 +570,15 @@ class S3FifoEngine {
 
   void OnMiss(uint32_t oi, int k) {
     PerSize& s = per_[k];
+    uint32_t& word = seq_[size_t{oi} * stride_ + k];  // not resident at k
     if (adaptive_) {
-      OnMissLookup(s, oi, k);  // fires before any eviction, as in Access()
+      // OnMissLookup fires before any eviction, as in Access().
+      s.small_ghost_hits += Leave(small_ev_[k], word);
+      s.main_ghost_hits += Leave(main_ev_[k], word);
+      MaybeRebalance(s);
     }
-    EnsureFree(s, k);
-    if (ghost_.HitAndErase(oi, k)) {
+    EnsureFree(s, k);  // may evict oi's own G entry
+    if (Leave(ghost_[k], word)) {
       Push(main_[k], oi, k, /*in_small=*/false);
     } else {
       Push(small_[k], oi, k, /*in_small=*/true);
@@ -765,26 +613,94 @@ class S3FifoEngine {
     uint64_t step = 1;
   };
 
-  static constexpr uint32_t kInSmallBit = 0x40000000u;
+  // One size's ghost: at most `cap` live entries, members marked by `flag`
+  // in their words, compacted past 2*cap + 16 entries (GhostQueue's rule).
+  struct GhostRing {
+    void Init(uint64_t capacity, uint32_t member_flag) {
+      cap = capacity;
+      flag = member_flag;
+      q.Reserve(cap);
+    }
+    EntryRing q;
+    uint64_t cap = 1;
+    uint64_t live = 0;
+    uint32_t flag = 0;
+  };
 
-  // An object is in at most one of small/main per size, and both rings draw
-  // stamps from the same per-size counter, so a stamp match identifies the
-  // object's unique live entry regardless of which ring it sits in. Entries
-  // die only by being popped (eviction, promotion) or by a delete-bump.
+  // Resident words: bit 30 marks S membership. Non-resident words: bits
+  // 28-30 mark ghost membership.
+  static constexpr uint32_t kInSmallBit = 0x40000000u;
+  static constexpr uint32_t kGhostBit = 0x40000000u;
+  static constexpr uint32_t kSmallEvBit = 0x20000000u;
+  static constexpr uint32_t kMainEvBit = 0x10000000u;
+
+  uint32_t NextStamp(int k) {
+    const uint32_t s = next_seq_[k];
+    next_seq_[k] = (s + 1) & seq_mask_;
+    return s;
+  }
+
+  // An object is in at most one of small/main per size and all of a size's
+  // rings draw stamps from one counter, so a resident word with a matching
+  // stamp identifies the object's unique live small/main entry. Entries die
+  // only by being popped (eviction, promotion) or by a word rewrite.
   bool Live(uint32_t oi, int k, uint32_t s) const {
-    return (seq_[size_t{oi} * stride_ + k] & seq_mask_) == s;
+    return (seq_[size_t{oi} * stride_ + k] & (kResidentBit | seq_mask_)) == (kResidentBit | s);
+  }
+
+  // A ghost entry is live iff the word is not resident, carries the ghost's
+  // flag and carries the entry's stamp.
+  bool GhostLive(const GhostRing& g, uint32_t oi, int k, uint32_t s) const {
+    return (seq_[size_t{oi} * stride_ + k] & (kResidentBit | g.flag | seq_mask_)) == (g.flag | s);
   }
 
   void Push(Ring& r, uint32_t oi, int k, bool in_small) {
-    const uint32_t s = next_seq_[k];
-    next_seq_[k] = (s + 1) & seq_mask_;
-    // freq resets to 0
+    const uint32_t s = NextStamp(k);
+    // freq resets to 0; ghost flags are gone with the resident bit set
     seq_[size_t{oi} * stride_ + k] = s | kResidentBit | (in_small ? kInSmallBit : 0);
     r.q.push_back(s, oi);
     ++r.live;
     if (r.q.size() > 2 * r.live + 64) {
       r.q.Compact([this, k](uint32_t v, uint32_t es) { return Live(v, k, es); });
     }
+  }
+
+  // Enters one ghost under stamp s, which the caller has written into the
+  // object's word with the ghost's flag; evicts the oldest first when full.
+  void GhostPush(GhostRing& g, uint32_t oi, int k, uint32_t s) {
+    while (g.live >= g.cap) {
+      EvictGhost(g, k);
+    }
+    g.q.push_back(s, oi);
+    ++g.live;
+    if (g.q.size() > 2 * g.cap + 16) {
+      g.q.Compact([this, &g, k](uint32_t v, uint32_t es) { return GhostLive(g, v, k, es); });
+    }
+  }
+
+  void EvictGhost(GhostRing& g, int k) {
+    while (!g.q.empty()) {
+      const auto [es, v] = g.q.front();
+      g.q.pop_front();
+      if (!g.q.empty()) {
+        __builtin_prefetch(&seq_[size_t{g.q.front().id} * stride_ + k]);
+      }
+      if (GhostLive(g, v, k, es)) {
+        seq_[size_t{v} * stride_ + k] &= ~g.flag;
+        --g.live;
+        return;
+      }
+    }
+  }
+
+  // Ghost hit on a non-resident word: drops the object from that ghost.
+  static bool Leave(GhostRing& g, uint32_t& word) {
+    if ((word & g.flag) == 0) {
+      return false;
+    }
+    word &= ~g.flag;
+    --g.live;  // the ring entry goes stale via the flag check
+    return true;
   }
 
   void EnsureFree(PerSize& s, int k) {
@@ -809,10 +725,10 @@ class S3FifoEngine {
       const auto [es, t] = r.q.front();
       r.q.pop_front();
       if (!r.q.empty()) {
-        __builtin_prefetch(&seq_[size_t{r.q.front().second} * stride_ + k]);
+        __builtin_prefetch(&seq_[size_t{r.q.front().id} * stride_ + k]);
       }
       uint32_t& word = seq_[size_t{t} * stride_ + k];
-      if ((word & seq_mask_) != es) {
+      if (!Live(t, k, es)) {
         continue;  // stale
       }
       --r.live;
@@ -823,10 +739,12 @@ class S3FifoEngine {
           EvictFromMain(s, k);
         }
       } else {
-        word = (es + 1) & seq_mask_;  // bump: demoted to ghost
-        ghost_.Insert(t, k);
+        // Demote to G (and S3-FIFO-D's small-evicted shadow).
+        const uint32_t g = NextStamp(k);
+        word = g | kGhostBit | (adaptive_ ? kSmallEvBit : 0);
+        GhostPush(ghost_[k], t, k, g);
         if (adaptive_) {
-          small_ev_.Insert(t, k);
+          GhostPush(small_ev_[k], t, k, g);
         }
       }
       return;
@@ -843,10 +761,10 @@ class S3FifoEngine {
       const auto [es, t] = r.q.front();
       r.q.pop_front();
       if (!r.q.empty()) {
-        __builtin_prefetch(&seq_[size_t{r.q.front().second} * stride_ + k]);
+        __builtin_prefetch(&seq_[size_t{r.q.front().id} * stride_ + k]);
       }
       uint32_t& word = seq_[size_t{t} * stride_ + k];
-      if ((word & seq_mask_) != es) {
+      if (!Live(t, k, es)) {
         continue;  // stale
       }
       if ((word & freq_field_) != 0) {  // freq > 0
@@ -854,23 +772,16 @@ class S3FifoEngine {
         r.q.push_back(es, t);  // reinsertion keeps the stamp
       } else {
         --r.live;
-        word = (es + 1) & seq_mask_;  // bump: evicted
         if (adaptive_) {
-          main_ev_.Insert(t, k);
+          const uint32_t g = NextStamp(k);
+          word = g | kMainEvBit;
+          GhostPush(main_ev_[k], t, k, g);
+        } else {
+          word = (es + 1) & seq_mask_;  // bump: evicted
         }
         return;
       }
     }
-  }
-
-  void OnMissLookup(PerSize& s, uint32_t oi, int k) {
-    if (small_ev_.HitAndErase(oi, k)) {
-      ++s.small_ghost_hits;
-    }
-    if (main_ev_.HitAndErase(oi, k)) {
-      ++s.main_ghost_hits;
-    }
-    MaybeRebalance(s);
   }
 
   void MaybeRebalance(PerSize& s) {
@@ -888,9 +799,7 @@ class S3FifoEngine {
     } else {
       target = s.small_target > s.step ? s.small_target - s.step : 1;
     }
-    // set_small_target's clamp; guarded for cap == 1, where the brute-force
-    // path would clamp to an empty [1, 0] range (UB it never hits in the
-    // committed configurations — the engine pins target = 1 there).
+    // set_small_target's clamp, including its capacity-1 guard.
     s.small_target = s.cap > 1 ? std::clamp<uint64_t>(target, 1, s.cap - 1) : 1;
     s.main_target = s.cap - s.small_target;
     s.small_ghost_hits = 0;
@@ -907,13 +816,13 @@ class S3FifoEngine {
   uint32_t freq_mask_ = 3;
   uint32_t freq_field_ = 3u << 28;
   size_t stride_;
-  std::vector<uint32_t> seq_;  // [oi * stride + k] packed resident | in_small | freq | stamp
-  std::vector<uint32_t> next_seq_;  // [k], shared by both rings of a size
+  std::vector<uint32_t> seq_;  // [oi * stride + k] packed word, layout above
+  std::vector<uint32_t> next_seq_;  // [k], shared by all rings of a size
   std::vector<Ring> small_;
   std::vector<Ring> main_;
-  GhostDense ghost_;
-  GhostDense small_ev_;  // S3-FIFO-D shadow ghosts (empty unless adaptive)
-  GhostDense main_ev_;
+  std::vector<GhostRing> ghost_;
+  std::vector<GhostRing> small_ev_;  // S3-FIFO-D shadow ghosts (empty unless adaptive)
+  std::vector<GhostRing> main_ev_;
   std::vector<PerSize> per_;
 };
 

@@ -87,6 +87,8 @@ class NaiveGhost {
   void Insert(uint64_t id);
   bool Contains(uint64_t id) const;
   void Remove(uint64_t id);
+  // Shrinking drops the oldest ids.
+  void set_capacity(uint64_t capacity);
   uint64_t size() const { return ids_.size(); }
   uint64_t capacity() const { return capacity_; }
 

@@ -716,6 +716,13 @@ bool NaiveGhost::Contains(uint64_t id) const {
   return std::find(ids_.begin(), ids_.end(), id) != ids_.end();
 }
 
+void NaiveGhost::set_capacity(uint64_t capacity) {
+  capacity_ = capacity;
+  if (ids_.size() > capacity_) {
+    ids_.erase(ids_.begin(), ids_.end() - static_cast<std::ptrdiff_t>(capacity_));
+  }
+}
+
 void NaiveGhost::Remove(uint64_t id) {
   auto it = std::find(ids_.begin(), ids_.end(), id);
   if (it != ids_.end()) {

@@ -111,9 +111,8 @@ bool LogStructuredFlashCache::Get(const Request& req) {
     rejected_at_.Erase(req.id);
   }
 
-  if (config_.dram_discipline == DramDiscipline::kSmallFifo && ghost_.Contains(req.id)) {
+  if (config_.dram_discipline == DramDiscipline::kSmallFifo && ghost_.Remove(req.id)) {
     // S -> G -> M path: a ghost hit goes straight to flash.
-    ghost_.Remove(req.id);
     WriteFlash(req.id, req.size);
     return false;
   }

@@ -117,13 +117,11 @@ bool LeCarCache::Access(const Request& req) {
   }
 
   // Ghost hits adjust expert weights before the insert.
-  if (h_lru_.ids.Contains(req.id)) {
+  if (h_lru_.ids.Remove(req.id)) {
     ApplyPenalty(w_lru_, w_lfu_, h_lru_.evict_time[req.id]);
-    h_lru_.ids.Remove(req.id);
     h_lru_.evict_time.erase(req.id);
-  } else if (h_lfu_.ids.Contains(req.id)) {
+  } else if (h_lfu_.ids.Remove(req.id)) {
     ApplyPenalty(w_lfu_, w_lru_, h_lfu_.evict_time[req.id]);
-    h_lfu_.ids.Remove(req.id);
     h_lfu_.evict_time.erase(req.id);
   }
 

@@ -41,7 +41,8 @@ S3FifoCache::S3FifoCache(const CacheConfig& config) : Cache(config) {
 }
 
 void S3FifoCache::set_small_target(uint64_t target) {
-  small_target_ = std::clamp<uint64_t>(target, 1, capacity() - 1);
+  // At capacity 1 the range [1, capacity - 1] is empty; S keeps its one slot.
+  small_target_ = capacity() > 1 ? std::clamp<uint64_t>(target, 1, capacity() - 1) : 1;
   main_target_ = capacity() - small_target_;
 }
 
@@ -69,11 +70,7 @@ void S3FifoCache::GhostInsert(uint64_t id) {
 
 bool S3FifoCache::GhostHitAndErase(uint64_t id) {
   if (ghost_exact_) {
-    if (ghost_exact_->Contains(id)) {
-      ghost_exact_->Remove(id);
-      return true;
-    }
-    return false;
+    return ghost_exact_->Remove(id);
   }
   if (ghost_table_->Contains(id)) {
     ghost_table_->Remove(id);

@@ -33,12 +33,10 @@ void S3FifoDCache::OnDemotionToGhost(uint64_t id) { small_evicted_.Insert(id); }
 void S3FifoDCache::OnMainEviction(uint64_t id) { main_evicted_.Insert(id); }
 
 void S3FifoDCache::OnMissLookup(uint64_t id) {
-  if (small_evicted_.Contains(id)) {
-    small_evicted_.Remove(id);
+  if (small_evicted_.Remove(id)) {
     ++small_ghost_hits_;
   }
-  if (main_evicted_.Contains(id)) {
-    main_evicted_.Remove(id);
+  if (main_evicted_.Remove(id)) {
     ++main_ghost_hits_;
   }
   MaybeRebalance();

@@ -107,8 +107,7 @@ bool TwoQCache::Access(const Request& req) {
   e.size = need;
   e.insert_time = clock();
   e.last_access_time = clock();
-  if (a1out_.Contains(req.id)) {
-    a1out_.Remove(req.id);
+  if (a1out_.Remove(req.id)) {
     e.where = Where::kAm;
     am_.PushFront(&e);
   } else {

@@ -1,9 +1,7 @@
 #include "src/trace/trace.h"
 
-#include <unordered_map>
-
 #include "src/trace/trace_view.h"
-#include "src/util/hash.h"
+#include "src/util/flat_map.h"
 
 namespace s3fifo {
 
@@ -25,12 +23,20 @@ const TraceStats& Trace::Stats() const {
   if (stats_valid_) {
     return stats_;
   }
+  struct PerObject {
+    uint64_t count;
+    uint32_t last_size;
+  };
+  constexpr size_t kPrefetchAhead = 16;  // requests ahead whose probe lines are fetched
   TraceStats s;
   s.num_requests = requests_.size();
-  std::unordered_map<uint64_t, uint64_t> request_count;
-  std::unordered_map<uint64_t, uint32_t> last_size;
-  request_count.reserve(requests_.size() / 4 + 16);
-  for (const Request& r : requests_) {
+  FlatMap<PerObject> objects;
+  const size_t n = requests_.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchAhead < n) {
+      objects.Prefetch(requests_[i + kPrefetchAhead].id);
+    }
+    const Request& r = requests_[i];
     switch (r.op) {
       case OpType::kGet:
         ++s.num_gets;
@@ -46,19 +52,16 @@ const TraceStats& Trace::Stats() const {
       continue;  // deletes do not count toward popularity
     }
     s.total_bytes_requested += r.size;
-    ++request_count[r.id];
-    last_size[r.id] = r.size;
+    PerObject& o = *objects.Emplace(r.id);
+    ++o.count;
+    o.last_size = r.size;
   }
-  s.num_objects = request_count.size();
+  s.num_objects = objects.size();
   uint64_t one_hit = 0;
-  for (const auto& [id, count] : request_count) {
-    if (count == 1) {
-      ++one_hit;
-    }
-  }
-  for (const auto& [id, size] : last_size) {
-    s.footprint_bytes += size;
-  }
+  objects.ForEach([&](uint64_t /*id*/, const PerObject& o) {
+    one_hit += o.count == 1 ? 1 : 0;
+    s.footprint_bytes += o.last_size;
+  });
   s.one_hit_wonder_ratio =
       s.num_objects == 0 ? 0.0
                          : static_cast<double>(one_hit) / static_cast<double>(s.num_objects);

@@ -7,24 +7,30 @@ namespace s3fifo {
 GhostQueue::GhostQueue(uint64_t capacity) : capacity_(std::max<uint64_t>(capacity, 1)) {}
 
 void GhostQueue::Insert(uint64_t id) {
-  if (!seq_of_.count(id)) {
-    while (seq_of_.size() >= capacity_) {
+  bool inserted = false;
+  uint64_t* seq = seq_of_.Emplace(id, &inserted);  // stable across the erases below
+  if (inserted) {
+    // Matches no ring slot, so the make-room evictions cannot pick id itself
+    // (a value-initialized 0 would match a stale slot from an earlier seq 0).
+    *seq = ~uint64_t{0};
+    while (seq_of_.size() > capacity_) {
       EvictOldest();
     }
   }
-  const uint64_t seq = next_seq_++;
-  seq_of_[id] = seq;  // any older slot for id becomes stale
-  fifo_.emplace_back(seq, id);
-  DrainStale();
+  *seq = next_seq_;  // any older slot for id becomes stale
+  if (fifo_.size() == fifo_.capacity()) {
+    fifo_.Reserve(fifo_.size());  // grows lazily, at least doubling
+  }
+  fifo_.push_back(next_seq_++, id);
+  // Bound the ring: stale slots can at most double it before compaction.
+  if (fifo_.size() > 2 * capacity_ + 16) {
+    fifo_.Compact([this](uint64_t slot_id, uint64_t slot_seq) { return Live(slot_id, slot_seq); });
+  }
 }
-
-bool GhostQueue::Contains(uint64_t id) const { return seq_of_.count(id) != 0; }
-
-void GhostQueue::Remove(uint64_t id) { seq_of_.erase(id); }
 
 void GhostQueue::Clear() {
   fifo_.clear();
-  seq_of_.clear();
+  seq_of_.Clear();
 }
 
 void GhostQueue::set_capacity(uint64_t capacity) {
@@ -38,28 +44,11 @@ void GhostQueue::EvictOldest() {
   while (!fifo_.empty()) {
     const auto [seq, id] = fifo_.front();
     fifo_.pop_front();
-    auto it = seq_of_.find(id);
-    if (it != seq_of_.end() && it->second == seq) {
-      seq_of_.erase(it);
+    if (Live(id, seq)) {
+      seq_of_.Erase(id);
       return;
     }
   }
-}
-
-void GhostQueue::DrainStale() {
-  // Bound fifo_'s footprint: stale slots can at most double the deque before
-  // this compaction kicks in.
-  if (fifo_.size() <= 2 * capacity_ + 16) {
-    return;
-  }
-  std::deque<std::pair<uint64_t, uint64_t>> compacted;
-  for (const auto& [seq, id] : fifo_) {
-    auto it = seq_of_.find(id);
-    if (it != seq_of_.end() && it->second == seq) {
-      compacted.emplace_back(seq, id);
-    }
-  }
-  fifo_.swap(compacted);
 }
 
 }  // namespace s3fifo

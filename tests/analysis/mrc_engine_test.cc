@@ -134,6 +134,56 @@ TEST(MrcEngineTest, S3FifoDAggressiveAdaptation) {
                             kS3FifoCurveEpsilon);
 }
 
+// Ghost-in-word edge cases: S3-FIFO's ghosts live in the non-resident
+// per-size words (flags in bits 28-30, stamp below), so the freq field width,
+// the ghost sizes relative to the cache, and stamp/ring churn all move the
+// layout's boundaries.
+TEST(MrcEngineTest, S3FifoGhostInWordFreqFieldExtremes) {
+  for (const std::string policy : {"s3fifo", "s3fifo-d"}) {
+    // max_freq=1: a one-bit freq field; max_freq=255: an eight-bit field and
+    // the narrowest (22-bit) stamp.
+    for (const char* params : {"max_freq=1", "max_freq=255,move_to_main_threshold=3"}) {
+      ExpectOnePassMatchesBrute(MixedZipf(31), policy, DefaultGrid(), CountConfig(params),
+                                kS3FifoCurveEpsilon);
+    }
+  }
+}
+
+TEST(MrcEngineTest, S3FifoGhostInWordGhostRatios) {
+  for (const std::string policy : {"s3fifo", "s3fifo-d"}) {
+    for (const char* params : {"ghost_ratio=0.01", "ghost_ratio=2.0"}) {
+      ExpectOnePassMatchesBrute(MixedZipf(32), policy, DefaultGrid(), CountConfig(params),
+                                kS3FifoCurveEpsilon);
+    }
+  }
+  // Shadows five times larger than G: an object's small-evicted shadow entry
+  // outlives its G entry, so one word carries a shadow flag without G.
+  ExpectOnePassMatchesBrute(MixedZipf(33), "s3fifo-d", DefaultGrid(),
+                            CountConfig("ghost_ratio=0.05,adapt_ghost_ratio=0.5,adapt_min_hits=10"),
+                            kS3FifoCurveEpsilon);
+}
+
+TEST(MrcEngineTest, FuzzedTracesOnTinyAndOddGrids) {
+  for (const uint64_t seed : {4, 5}) {
+    const Trace trace = FuzzTrace(seed);
+    for (const std::string policy : {"fifo", "clock", "sieve", "s3fifo", "s3fifo-d"}) {
+      ExpectOnePassMatchesBrute(trace, policy, {1, 2, 3, 7, 64, 200}, CountConfig(), 0.0);
+    }
+    ExpectOnePassMatchesBrute(trace, "s3fifo-d", {1, 2, 3, 7, 64, 200},
+                              CountConfig("adapt_min_hits=1,adapt_ghost_ratio=0.5"), 0.0);
+  }
+}
+
+TEST(MrcEngineTest, S3FifoLongTraceStampAndRingChurn) {
+  // Small caches over 400k requests push millions of stamps through each
+  // size's counter and compact every ring many times over.
+  const Trace trace = MixedZipf(34, 400000);
+  for (const std::string policy : {"s3fifo", "s3fifo-d"}) {
+    ExpectOnePassMatchesBrute(trace, policy, {2, 5, 40}, CountConfig("adapt_min_hits=2"),
+                              kS3FifoCurveEpsilon);
+  }
+}
+
 TEST(MrcEngineTest, ScanAndLoopWorkloads) {
   const Trace scan = GenerateSequentialScan(20000);
   const Trace loop = GenerateLoop(700, 40000);

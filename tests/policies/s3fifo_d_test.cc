@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/mrc_engine.h"
 #include "src/core/cache_factory.h"
 #include "src/sim/simulator.h"
 #include "src/workload/scan_workload.h"
@@ -114,6 +115,33 @@ TEST(S3FifoDTest, CustomAdaptationParamsRespected) {
   Simulate(t, s3d);
   // Lower trigger + bigger steps => adapts much more aggressively.
   EXPECT_GT(s3d.adaptations(), 5u);
+}
+
+TEST(S3FifoDTest, CapacityOneKeepsSmallTargetAndMatchesOnePass) {
+  // At capacity 1 the adaptive clamp range [1, capacity - 1] is empty: the
+  // target must stay at 1 however the shadow ghosts vote, and the cache
+  // must agree count-for-count with the one-pass engine, which pins 1.
+  ZipfWorkloadConfig zc;
+  zc.num_objects = 40;
+  zc.num_requests = 20000;
+  zc.alpha = 1.2;
+  zc.seed = 3;
+  const Trace t = GenerateZipfTrace(zc);
+  CacheConfig config;
+  config.capacity = 1;
+  config.params = "adapt_min_hits=1";
+  S3FifoDCache s3d(config);
+  for (const Request& r : t.requests()) {
+    s3d.Get(r);
+    ASSERT_EQ(s3d.small_target(), 1u);
+  }
+  EXPECT_GT(s3d.adaptations(), 0u);
+
+  S3FifoDCache fresh(config);
+  const SimResult sim = Simulate(t, fresh);
+  const MrcCurve curve = OnePassMrc(TraceView::Borrow(t), "s3fifo-d", {1}, config);
+  EXPECT_EQ(curve.results[0].hits, sim.hits);
+  EXPECT_EQ(curve.results[0].misses, sim.misses);
 }
 
 }  // namespace

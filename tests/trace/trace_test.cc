@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
+#include "src/check/trace_fuzzer.h"
+
 namespace s3fifo {
 namespace {
 
@@ -93,6 +98,57 @@ TEST(TraceTest, OpCounts) {
   EXPECT_EQ(t.Stats().num_gets, 1u);
   EXPECT_EQ(t.Stats().num_sets, 1u);
   EXPECT_EQ(t.Stats().num_deletes, 1u);
+}
+
+TEST(TraceTest, StatsMatchOrderedMapRecountOnFuzzedTrace) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    check::FuzzConfig config;
+    config.seed = seed;
+    config.num_requests = 20000;
+    config.count_based = false;  // sizes vary per request, including resizes
+    config.key_space = 3000;
+    config.p_delete = 0.1;
+    std::vector<Request> reqs = check::GenerateFuzzRequests(config);
+    // Every op kind, and ids seen only by deletes, must be present.
+    reqs.push_back(Request{.id = ~uint64_t{0}, .size = 7, .op = OpType::kDelete});
+
+    TraceStats want;
+    want.num_requests = reqs.size();
+    std::map<uint64_t, std::pair<uint64_t, uint32_t>> objects;  // id -> (count, last size)
+    for (const Request& r : reqs) {
+      want.num_gets += r.op == OpType::kGet ? 1 : 0;
+      want.num_sets += r.op == OpType::kSet ? 1 : 0;
+      want.num_deletes += r.op == OpType::kDelete ? 1 : 0;
+      if (r.op != OpType::kDelete) {
+        want.total_bytes_requested += r.size;
+        auto& [count, last_size] = objects[r.id];
+        ++count;
+        last_size = r.size;
+      }
+    }
+    uint64_t one_hit = 0;
+    for (const auto& [id, o] : objects) {
+      one_hit += o.first == 1 ? 1 : 0;
+      want.footprint_bytes += o.second;
+    }
+    want.num_objects = objects.size();
+    want.one_hit_wonder_ratio = static_cast<double>(one_hit) / static_cast<double>(objects.size());
+    ASSERT_GT(want.num_gets, 0u);
+    ASSERT_GT(want.num_sets, 0u);
+    ASSERT_GT(want.num_deletes, 0u);
+    ASSERT_GT(one_hit, 0u);
+
+    const Trace trace(std::move(reqs));
+    const TraceStats& got = trace.Stats();
+    EXPECT_EQ(got.num_requests, want.num_requests) << seed;
+    EXPECT_EQ(got.num_objects, want.num_objects) << seed;
+    EXPECT_EQ(got.total_bytes_requested, want.total_bytes_requested) << seed;
+    EXPECT_EQ(got.footprint_bytes, want.footprint_bytes) << seed;
+    EXPECT_EQ(got.num_gets, want.num_gets) << seed;
+    EXPECT_EQ(got.num_sets, want.num_sets) << seed;
+    EXPECT_EQ(got.num_deletes, want.num_deletes) << seed;
+    EXPECT_EQ(got.one_hit_wonder_ratio, want.one_hit_wonder_ratio) << seed;
+  }
 }
 
 }  // namespace
