@@ -1,19 +1,17 @@
 // End-to-end cache-as-a-service benchmark: the cache server (src/server/)
 // behind the memcached text protocol, driven over loopback TCP by the
-// in-process load generator. Sweeps the transport backend (epoll readiness
-// loop vs io_uring completion ring), worker-thread counts, and pipelining
+// in-process load generator. Sweeps worker-thread counts and pipelining
 // depths in closed-loop mode (capacity: each connection keeps N requests in
 // flight), then runs a fixed-rate open loop at half the measured closed-loop
 // throughput, with latencies measured from intended send times
 // (coordinated-omission safe). Each row carries the server-side kernel
-// crossings per operation (from the transport counters), the metric the
-// io_uring backend exists to shrink. Emits BENCH_server.json.
+// crossings per operation, from the transport counters. Emits
+// BENCH_server.json.
 //
 // NOTE: client and server share this machine's cores, so absolute numbers
 // are loopback round-trip costs, not NIC-limited serving capacity; the
-// meaningful signals are the pipelining-depth gain (per-connection batches
-// amortize protocol and cache-probe cost through GetBatch) and the
-// syscalls/op gap between the two transports at a fixed depth.
+// meaningful signal is the pipelining-depth gain (per-connection batches
+// amortize protocol, syscall and cache-probe cost through GetBatch).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "bench/bench_util.h"
 #include "src/server/cache_server.h"
 #include "src/server/loadgen.h"
-#include "src/server/transport.h"
 #include "src/workload/zipf_workload.h"
 
 namespace s3fifo {
@@ -41,191 +38,124 @@ void Run() {
   workload.seed = 7;
   const Trace trace = GenerateZipfTrace(workload);
 
-  std::vector<TransportKind> transports = {TransportKind::kEpoll};
-  std::string why;
-  if (IoUringAvailable(&why)) {
-    transports.push_back(TransportKind::kUring);
-  } else {
-    std::printf("io_uring unavailable (%s): epoll-only grid\n", why.c_str());
-  }
-
   JsonFields summary;
   summary.Add("zipf_objects", workload.num_objects)
       .Add("zipf_alpha", workload.alpha)
       .Add("capacity_objects", uint64_t{1} << 15)
-      .Add("closed_ops", closed_ops)
-      .Add("transports", transports.size() == 2 ? "epoll,uring" : "epoll");
+      .Add("closed_ops", closed_ops);
   std::vector<JsonFields> rows;
 
-  std::printf("%-7s %-6s %-8s %-6s %-6s %12s %10s %10s %10s %8s %9s\n",
-              "mode", "trans", "workers", "conns", "depth", "rate(/s)",
-              "p50(us)", "p99(us)", "p999(us)", "hit", "sysc/op");
+  std::printf("%-7s %-8s %-6s %-6s %12s %10s %10s %10s %8s %9s\n", "mode",
+              "workers", "conns", "depth", "rate(/s)", "p50(us)", "p99(us)",
+              "p999(us)", "hit", "sysc/op");
 
-  // The acceptance metric: depth-1 closed-loop syscalls/op per transport at
-  // workers=1, where no pipelining hides the per-request kernel crossings.
-  double depth1_syscalls_per_op_epoll = 0;
-  double depth1_syscalls_per_op_uring = 0;
-  double depth1_rate_epoll = 0;
-  double depth1_rate_uring = 0;
+  for (const unsigned workers : {1u, 2u}) {
+    ServerConfig sconfig;
+    sconfig.workers = workers;
+    sconfig.cache.capacity_objects = 1 << 15;
+    sconfig.cache.value_size = 64;
+    CacheServer server(sconfig);
+    std::string error;
+    if (!server.Start(&error)) {
+      std::fprintf(stderr, "server start failed: %s\n", error.c_str());
+      return;
+    }
 
-  for (const TransportKind transport : transports) {
-    const char* tname = TransportKindName(transport);
-    for (const unsigned workers : {1u, 2u}) {
-      ServerConfig sconfig;
-      sconfig.workers = workers;
-      sconfig.cache.capacity_objects = 1 << 15;
-      sconfig.cache.value_size = 64;
-      sconfig.transport = transport;
-      CacheServer server(sconfig);
-      std::string error;
-      if (!server.Start(&error)) {
-        std::fprintf(stderr, "server start failed: %s\n", error.c_str());
+    // Per-run syscall deltas: TotalStats accumulates across the sweep, so
+    // snapshot around every loadgen run. False if the load generator failed.
+    ServerStats before = server.TotalStats();
+    double closed_rate_depth_max = 0;
+    auto run = [&](const LoadGenConfig& lg) {
+      const LoadGenResult r = RunLoadGen(lg, trace);
+      if (!r.ok) {
+        std::fprintf(stderr, "loadgen failed: %s\n", r.error.c_str());
+        return false;
+      }
+      const bool open = lg.target_rate > 0;
+      const ServerStats after = server.TotalStats();
+      const uint64_t syscalls =
+          after.transport_syscalls - before.transport_syscalls;
+      before = after;
+      if (!open && r.achieved_rate > closed_rate_depth_max) {
+        closed_rate_depth_max = r.achieved_rate;
+      }
+      const double hit =
+          r.gets > 0 ? static_cast<double>(r.get_hits) / r.gets : 0;
+      const double syscalls_per_op =
+          r.ops > 0 ? static_cast<double>(syscalls) / r.ops : 0;
+      std::printf("%-7s %-8u %-6u %-6u %12.0f %10.1f %10.1f %10.1f %8.4f %9.3f\n",
+                  open ? "open" : "closed", workers, lg.connections,
+                  lg.pipeline_depth, r.achieved_rate,
+                  r.latency.Percentile(50) / 1e3,
+                  r.latency.Percentile(99) / 1e3,
+                  r.latency.Percentile(99.9) / 1e3, hit, syscalls_per_op);
+      JsonFields row;
+      row.Add("mode", open ? "open" : "closed")
+          .Add("workers", workers)
+          .Add("connections", lg.connections)
+          .Add("depth", lg.pipeline_depth);
+      if (open) {
+        row.Add("target_rate_ops_s", lg.target_rate);
+      }
+      rows.push_back(row.Add("ops", r.ops)
+                         .Add("seconds", r.seconds)
+                         .Add("rate_ops_s", r.achieved_rate)
+                         .Add("hit_ratio", hit)
+                         .Add("server_syscalls", syscalls)
+                         .Add("server_syscalls_per_op", syscalls_per_op)
+                         .Add("p50_ns", r.latency.Percentile(50))
+                         .Add("p99_ns", r.latency.Percentile(99))
+                         .Add("p999_ns", r.latency.Percentile(99.9)));
+      return true;
+    };
+
+    LoadGenConfig lg;
+    lg.port = server.port();
+    lg.threads = workers;
+    lg.connections = 2 * workers;
+    for (const unsigned depth : {1u, 8u, 32u}) {
+      lg.pipeline_depth = depth;
+      lg.max_ops = closed_ops;
+      if (!run(lg)) {
         return;
       }
-
-      // Per-run syscall deltas: TotalStats accumulates across the sweep, so
-      // snapshot around every loadgen run.
-      ServerStats before = server.TotalStats();
-      double closed_rate_depth_max = 0;
-      for (const unsigned depth : {1u, 8u, 32u}) {
-        LoadGenConfig lg;
-        lg.port = server.port();
-        lg.threads = workers;
-        lg.connections = 2 * workers;
-        lg.pipeline_depth = depth;
-        lg.max_ops = closed_ops;
-        lg.transport = transport;
-        const LoadGenResult r = RunLoadGen(lg, trace);
-        if (!r.ok) {
-          std::fprintf(stderr, "loadgen failed: %s\n", r.error.c_str());
-          server.Stop();
-          return;
-        }
-        const ServerStats after = server.TotalStats();
-        const uint64_t syscalls =
-            after.transport_syscalls - before.transport_syscalls;
-        before = after;
-        if (r.achieved_rate > closed_rate_depth_max) {
-          closed_rate_depth_max = r.achieved_rate;
-        }
-        const double hit =
-            r.gets > 0 ? static_cast<double>(r.get_hits) / r.gets : 0;
-        const double syscalls_per_op =
-            r.ops > 0 ? static_cast<double>(syscalls) / r.ops : 0;
-        if (depth == 1 && workers == 1) {
-          if (transport == TransportKind::kEpoll) {
-            depth1_syscalls_per_op_epoll = syscalls_per_op;
-            depth1_rate_epoll = r.achieved_rate;
-          } else {
-            depth1_syscalls_per_op_uring = syscalls_per_op;
-            depth1_rate_uring = r.achieved_rate;
-          }
-        }
-        std::printf(
-            "%-7s %-6s %-8u %-6u %-6u %12.0f %10.1f %10.1f %10.1f %8.4f %9.3f\n",
-            "closed", tname, workers, lg.connections, depth, r.achieved_rate,
-            r.latency.Percentile(50) / 1e3, r.latency.Percentile(99) / 1e3,
-            r.latency.Percentile(99.9) / 1e3, hit, syscalls_per_op);
-        rows.push_back(JsonFields()
-                           .Add("mode", "closed")
-                           .Add("transport", tname)
-                           .Add("workers", workers)
-                           .Add("connections", lg.connections)
-                           .Add("depth", depth)
-                           .Add("ops", r.ops)
-                           .Add("seconds", r.seconds)
-                           .Add("rate_ops_s", r.achieved_rate)
-                           .Add("hit_ratio", hit)
-                           .Add("server_syscalls", syscalls)
-                           .Add("server_syscalls_per_op", syscalls_per_op)
-                           .Add("p50_ns", r.latency.Percentile(50))
-                           .Add("p99_ns", r.latency.Percentile(99))
-                           .Add("p999_ns", r.latency.Percentile(99.9)));
-      }
-
-      // Open loop at ~50% of this worker count's best closed-loop
-      // throughput: below saturation, so the tail reflects service jitter,
-      // not queueing collapse.
-      for (const unsigned depth : {8u, 32u}) {
-        LoadGenConfig lg;
-        lg.port = server.port();
-        lg.threads = workers;
-        lg.connections = 2 * workers;
-        lg.pipeline_depth = depth;
-        lg.target_rate = closed_rate_depth_max * 0.5;
-        lg.duration_s = open_duration_s;
-        lg.transport = transport;
-        const LoadGenResult r = RunLoadGen(lg, trace);
-        if (!r.ok) {
-          std::fprintf(stderr, "loadgen failed: %s\n", r.error.c_str());
-          server.Stop();
-          return;
-        }
-        const ServerStats after = server.TotalStats();
-        const uint64_t syscalls =
-            after.transport_syscalls - before.transport_syscalls;
-        before = after;
-        const double hit =
-            r.gets > 0 ? static_cast<double>(r.get_hits) / r.gets : 0;
-        const double syscalls_per_op =
-            r.ops > 0 ? static_cast<double>(syscalls) / r.ops : 0;
-        std::printf(
-            "%-7s %-6s %-8u %-6u %-6u %12.0f %10.1f %10.1f %10.1f %8.4f %9.3f\n",
-            "open", tname, workers, lg.connections, depth, r.achieved_rate,
-            r.latency.Percentile(50) / 1e3, r.latency.Percentile(99) / 1e3,
-            r.latency.Percentile(99.9) / 1e3, hit, syscalls_per_op);
-        rows.push_back(JsonFields()
-                           .Add("mode", "open")
-                           .Add("transport", tname)
-                           .Add("workers", workers)
-                           .Add("connections", lg.connections)
-                           .Add("depth", depth)
-                           .Add("target_rate_ops_s", lg.target_rate)
-                           .Add("ops", r.ops)
-                           .Add("seconds", r.seconds)
-                           .Add("rate_ops_s", r.achieved_rate)
-                           .Add("hit_ratio", hit)
-                           .Add("server_syscalls", syscalls)
-                           .Add("server_syscalls_per_op", syscalls_per_op)
-                           .Add("p50_ns", r.latency.Percentile(50))
-                           .Add("p99_ns", r.latency.Percentile(99))
-                           .Add("p999_ns", r.latency.Percentile(99.9)));
-      }
-
-      const ServerStats stats = server.TotalStats();
-      std::printf("  %s workers=%u server batches=%llu batched_gets=%llu "
-                  "(avg batch %.1f) cqe/wait=%.2f\n",
-                  tname, workers, (unsigned long long)stats.batches,
-                  (unsigned long long)stats.batched_gets,
-                  stats.batches > 0
-                      ? static_cast<double>(stats.batched_gets) / stats.batches
-                      : 0.0,
-                  stats.transport_waits > 0
-                      ? static_cast<double>(stats.transport_events) /
-                            stats.transport_waits
-                      : 0.0);
-      server.Stop();
     }
-  }
+    // Open loop at ~50% of this worker count's best closed-loop
+    // throughput: below saturation, so the tail reflects service jitter,
+    // not queueing collapse.
+    for (const unsigned depth : {8u, 32u}) {
+      lg.pipeline_depth = depth;
+      lg.max_ops = 0;
+      lg.target_rate = closed_rate_depth_max * 0.5;
+      lg.duration_s = open_duration_s;
+      if (!run(lg)) {
+        return;
+      }
+    }
 
-  if (depth1_syscalls_per_op_uring > 0 && depth1_syscalls_per_op_epoll > 0) {
-    std::printf("\ndepth-1 syscalls/op: epoll=%.3f uring=%.3f (%.1fx fewer), "
-                "rate epoll=%.0f/s uring=%.0f/s\n",
-                depth1_syscalls_per_op_epoll, depth1_syscalls_per_op_uring,
-                depth1_syscalls_per_op_epoll / depth1_syscalls_per_op_uring,
-                depth1_rate_epoll, depth1_rate_uring);
+    const ServerStats stats = server.TotalStats();
+    std::printf("  workers=%u server batches=%llu batched_gets=%llu "
+                "(avg batch %.1f) events/wait=%.2f\n",
+                workers, (unsigned long long)stats.batches,
+                (unsigned long long)stats.batched_gets,
+                stats.batches > 0
+                    ? static_cast<double>(stats.batched_gets) / stats.batches
+                    : 0.0,
+                stats.transport_waits > 0
+                    ? static_cast<double>(stats.transport_events) /
+                          stats.transport_waits
+                    : 0.0);
+    server.Stop();
   }
 
   WriteBenchJson("server", summary, rows);
   std::printf("\nexpected shape: closed-loop throughput grows with pipelining\n"
               "depth (deeper pipelines fuse more gets per GetBatch, amortizing\n"
-              "syscalls and cache probes); at every depth the io_uring rows\n"
-              "spend several-fold fewer server syscalls per op than epoll —\n"
-              "at depth 1 the readiness loop pays wait+read+send per request\n"
-              "while the ring batches them into one submit-and-wait. Open-loop\n"
-              "p99/p999 below saturation stays in the low-millisecond range\n"
-              "and includes scheduling jitter from client and server sharing\n"
-              "cores.\n");
+              "syscalls and cache probes), and syscalls/op falls with it: at\n"
+              "depth 1 the readiness loop pays wait+read+send per request.\n"
+              "Open-loop p99/p999 below saturation stays in the low-millisecond\n"
+              "range and includes scheduling jitter from client and server\n"
+              "sharing cores.\n");
 }
 
 }  // namespace

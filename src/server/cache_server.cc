@@ -88,7 +88,6 @@ struct Connection {
 
 struct CacheServer::Worker final : public Transport::Handler {
   CacheServer* server = nullptr;
-  unsigned index = 0;
   int listen_fd = -1;
   std::unique_ptr<Transport> transport;
   std::unordered_map<Connection*, std::unique_ptr<Connection>> conns;
@@ -110,25 +109,16 @@ struct CacheServer::Worker final : public Transport::Handler {
   std::atomic<uint64_t> t_syscalls{0};
   std::atomic<uint64_t> t_waits{0};
   std::atomic<uint64_t> t_events{0};
-  std::atomic<uint64_t> t_sqes{0};
-  std::atomic<uint64_t> t_sqe_batches{0};
-  std::atomic<uint64_t> t_recv_merges{0};
 
   void Bump(std::atomic<uint64_t>& c, uint64_t v = 1) {
     c.store(c.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
   }
 
   void PublishTransportCounters() {
-    if (transport == nullptr) {
-      return;
-    }
     const TransportCounters& tc = transport->counters();
     t_syscalls.store(tc.syscalls, std::memory_order_relaxed);
     t_waits.store(tc.waits, std::memory_order_relaxed);
     t_events.store(tc.events, std::memory_order_relaxed);
-    t_sqes.store(tc.sqes, std::memory_order_relaxed);
-    t_sqe_batches.store(tc.sqe_batches, std::memory_order_relaxed);
-    t_recv_merges.store(tc.recv_merges, std::memory_order_relaxed);
   }
 
   // --- Transport::Handler --------------------------------------------------
@@ -146,17 +136,20 @@ struct CacheServer::Worker final : public Transport::Handler {
                      size_t* cap) override {
     auto* c = static_cast<Connection*>(ud);
     if (!c->in.EnsureWritable(4096)) {
-      if (!c->parse_blocked) {
-        // Buffer at capacity yet the parser is not backpressured: a single
-        // frame fills the whole buffer without parsing fatal. Cannot happen
-        // with the current limits (kMaxLineLen, kMaxValueBytes are both well
-        // under the buffer cap); drop the connection to bound memory if a
+      if (!c->parse_blocked && !c->pumping) {
+        // Full, yet a parse pass ran on these bytes and left them: one
+        // frame fills the whole buffer without parsing fatal. The current
+        // limits (kMaxLineLen, kMaxValueBytes, both well under the buffer
+        // cap) rule that out; drop the connection to bound memory if a
         // future limit change breaks that.
         CloseConn(c);
         return false;
       }
-      // Full of commands we may not execute yet: pause reading. The next
-      // drain unblocks the parser, frees space, and resumes (ResumeRead).
+      // Full of commands not parsed yet: either the parser is blocked on
+      // the out watermark, or Pump's ResumeRead re-entered here and the
+      // nested OnData left parsing to the Pump already on the stack (which
+      // still holds `c`, so it must not be freed). Pause reading; that Pump
+      // or the next drain parses, frees space and resumes (ResumeRead).
       c->read_paused = true;
       return false;
     }
@@ -380,18 +373,11 @@ struct CacheServer::Worker final : public Transport::Handler {
             AppendStat(c->out, "cache_misses", cs.misses);
           }
           AppendStr(c->out, "STAT transport ");
-          AppendStr(c->out, server->transport_name_);
+          AppendStr(c->out, server->transport_name());
           AppendStr(c->out, "\r\n");
           AppendStat(c->out, "transport_syscalls", s.transport_syscalls);
           AppendStat(c->out, "transport_waits", s.transport_waits);
           AppendStat(c->out, "transport_events", s.transport_events);
-          AppendStat(c->out, "transport_sqes", s.transport_sqes);
-          AppendStat(c->out, "transport_sqe_batches", s.transport_sqe_batches);
-          AppendStat(c->out, "transport_cqe_per_wait_x100",
-                     s.transport_waits == 0
-                         ? 0
-                         : s.transport_events * 100 / s.transport_waits);
-          AppendStat(c->out, "transport_recv_merges", s.transport_recv_merges);
           AppendStr(c->out, "END\r\n");
           break;
         }
@@ -466,96 +452,24 @@ bool CacheServer::BindListener(Worker& w, std::string* error) {
   return true;
 }
 
-bool CacheServer::SetupWorkers(TransportKind kind, std::string* error) {
-  port_ = config_.port;
-  for (unsigned i = 0; i < config_.workers; ++i) {
-    auto w = std::make_unique<Worker>();
-    w->server = this;
-    w->index = i;
-    if (!BindListener(*w, error)) {
-      workers_.push_back(std::move(w));  // so teardown closes the partial fds
-      return false;
-    }
-    std::string note;
-    w->transport = MakeTransport(kind, &note);
-    if (w->transport == nullptr) {
-      if (error != nullptr) {
-        *error = note;
-      }
-      workers_.push_back(std::move(w));
-      return false;
-    }
-    std::string terr;
-    if (!w->transport->Init(w.get(), w->listen_fd, &terr)) {
-      if (error != nullptr) {
-        *error = std::string(w->transport->name()) + " init: " + terr;
-      }
-      workers_.push_back(std::move(w));
-      return false;
-    }
-    workers_.push_back(std::move(w));
-  }
-  return true;
-}
-
-void CacheServer::TeardownWorkers() {
-  for (auto& w : workers_) {
-    w->transport.reset();  // closes connection fds, the ring, the eventfd
-    w->conns.clear();
-    if (w->listen_fd >= 0) {
-      close(w->listen_fd);
-      w->listen_fd = -1;
-    }
-  }
-  workers_.clear();
-}
-
 bool CacheServer::Start(std::string* error) {
   if (running_.exchange(true)) {
     return true;
   }
   stop_.store(false);
   workers_.clear();
-  transport_note_.clear();
-
-  TransportKind kind = config_.transport;
-  if (kind == TransportKind::kAuto) {
-    std::string why;
-    if (MakeUringTransport() != nullptr && IoUringAvailable(&why)) {
-      kind = TransportKind::kUring;
-    } else {
-      kind = TransportKind::kEpoll;
-      transport_note_ =
-          "transport=auto: io_uring unavailable (" + why +
-          "), falling back to epoll";
-    }
-  }
-  std::string setup_error;
-  if (!SetupWorkers(kind, &setup_error)) {
-    if (kind == TransportKind::kUring &&
-        config_.transport == TransportKind::kAuto) {
-      // The probe passed but a full ring init failed (e.g. locked-memory
-      // limits): redo every worker on epoll so the fleet is homogeneous.
-      TeardownWorkers();
-      transport_note_ = "transport=auto: io_uring init failed (" + setup_error +
-                        "), falling back to epoll";
-      kind = TransportKind::kEpoll;
-      if (!SetupWorkers(kind, &setup_error)) {
-        if (error != nullptr) {
-          *error = setup_error;
-        }
-        Stop();
-        return false;
-      }
-    } else {
-      if (error != nullptr) {
-        *error = setup_error;
-      }
+  port_ = config_.port;
+  for (unsigned i = 0; i < config_.workers; ++i) {
+    // Pushed before setup so that Stop() closes a partial worker's fds.
+    Worker& w = *workers_.emplace_back(std::make_unique<Worker>());
+    w.server = this;
+    w.transport = std::make_unique<Transport>();
+    if (!BindListener(w, error) ||
+        !w.transport->Init(&w, w.listen_fd, error)) {
       Stop();
       return false;
     }
   }
-  transport_name_ = TransportKindName(kind);
   threads_.reserve(workers_.size());
   for (auto& w : workers_) {
     threads_.emplace_back([this, worker = w.get()] { RunWorker(*worker); });
@@ -569,9 +483,7 @@ void CacheServer::Stop() {
   }
   stop_.store(true);
   for (auto& w : workers_) {
-    if (w->transport != nullptr) {
-      w->transport->Wake();
-    }
+    w->transport->Wake();
   }
   for (auto& t : threads_) {
     if (t.joinable()) {
@@ -608,9 +520,6 @@ ServerStats CacheServer::TotalStats() const {
     s.transport_syscalls += w->t_syscalls.load(std::memory_order_relaxed);
     s.transport_waits += w->t_waits.load(std::memory_order_relaxed);
     s.transport_events += w->t_events.load(std::memory_order_relaxed);
-    s.transport_sqes += w->t_sqes.load(std::memory_order_relaxed);
-    s.transport_sqe_batches += w->t_sqe_batches.load(std::memory_order_relaxed);
-    s.transport_recv_merges += w->t_recv_merges.load(std::memory_order_relaxed);
   }
   return s;
 }

@@ -5,7 +5,7 @@
 // Architecture (one box per worker):
 //
 //   [SO_REUSEPORT listener]──accept──┐        per-connection state
-//   [Transport: epoll or io_uring]   ▼
+//   [Transport: edge-triggered epoll] ▼
 //     incoming bytes ──pushed──▶ RingBuffer ──ParseCommand*──▶ ops
 //        consecutive get keys fuse into one batch ──▶ ConcurrentCache::
 //        GetBatch (software-pipelined lock-free probes, values copied out
@@ -15,11 +15,7 @@
 //        unsent, and reading pauses once the in-buffer fills behind the
 //        blocked parser.
 //
-// The event loop mechanics live behind the Transport interface
-// (src/server/transport.h): the epoll backend is the PR-8 readiness loop,
-// the io_uring backend batches the whole loop iteration into one
-// submit-and-wait syscall. `ServerConfig::transport` picks the backend;
-// kAuto probes io_uring and falls back to epoll when the kernel denies it.
+// The event loop mechanics live in src/server/transport.h.
 //
 // Every worker owns its own listening socket bound with SO_REUSEPORT to the
 // same port, so the kernel spreads connections across workers with no shared
@@ -37,7 +33,6 @@
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
-#include "src/server/transport.h"
 
 namespace s3fifo {
 
@@ -46,8 +41,6 @@ struct ServerConfig {
   uint16_t port = 0;     // 0 = pick an ephemeral port (read back via port())
   unsigned workers = 1;  // event loops == SO_REUSEPORT listeners
   ConcurrentCacheConfig cache;  // sharded lock-free S3-FIFO underneath
-  // Data-plane backend; kAuto probes io_uring and falls back to epoll.
-  TransportKind transport = TransportKind::kAuto;
   // Consecutive pipelined gets fused into one GetBatch call.
   uint32_t max_batch = 256;
   // Parsing pauses while this many response bytes are queued unsent.
@@ -70,16 +63,11 @@ struct ServerStats {
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
   // Data-plane efficiency (summed TransportCounters across workers): how
-  // many kernel crossings the serving path cost, and how well the io_uring
-  // backend batched them. syscalls/cmd and events/wait are the headline
-  // ratios; recv_merges counts multishot recv completions that needed no
-  // re-arm SQE.
+  // many kernel crossings the serving path cost. syscalls/cmd and
+  // events/wait are the headline ratios.
   uint64_t transport_syscalls = 0;
   uint64_t transport_waits = 0;
   uint64_t transport_events = 0;
-  uint64_t transport_sqes = 0;
-  uint64_t transport_sqe_batches = 0;
-  uint64_t transport_recv_merges = 0;
 };
 
 class CacheServer {
@@ -94,20 +82,18 @@ class CacheServer {
   CacheServer(const CacheServer&) = delete;
   CacheServer& operator=(const CacheServer&) = delete;
 
-  // Binds all listeners, resolves the transport backend, and spawns the
-  // worker threads. With transport=kAuto an io_uring failure falls back to
-  // epoll (see transport_note()); with an explicit kUring it fails instead,
-  // with *error naming the denial (e.g. "io_uring_setup: EPERM ...").
+  // Binds all listeners, creates each worker's event loop, and spawns the
+  // worker threads. False with *error naming the failed call.
   bool Start(std::string* error = nullptr);
   // Wakes every worker, closes all sockets, joins the threads. Idempotent.
   void Stop();
 
   // The bound port (after Start); useful with config.port = 0.
   uint16_t port() const { return port_; }
-  // Resolved backend after Start(): "epoll" or "uring".
-  const char* transport_name() const { return transport_name_; }
-  // Non-empty when kAuto fell back to epoll; one log-worthy line.
-  const std::string& transport_note() const { return transport_note_; }
+  // The data-plane backend, for logs and benchmark provenance: "epoll".
+  const char* transport_name() const { return "epoll"; }
+  // Always empty: there is one backend, so no fallback to report.
+  std::string transport_note() const { return {}; }
   ServerStats TotalStats() const;
   ConcurrentCache& cache() { return *cache_; }
 
@@ -115,8 +101,6 @@ class CacheServer {
   struct Worker;
 
   bool BindListener(Worker& w, std::string* error);
-  bool SetupWorkers(TransportKind kind, std::string* error);
-  void TeardownWorkers();
   void RunWorker(Worker& w);
 
   ServerConfig config_;
@@ -127,8 +111,6 @@ class CacheServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   uint16_t port_ = 0;
-  const char* transport_name_ = "?";
-  std::string transport_note_;
 };
 
 }  // namespace s3fifo

@@ -183,9 +183,10 @@ bool ConnectLoopback(ClientConn& c, const std::string& host, uint16_t port,
     return false;
   }
   if (connect(c.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    // EINTR leaves the connect completing asynchronously (an in-process
-    // io_uring peer's task-work can interrupt us): wait for writability and
-    // read the final status instead of failing.
+    // EINTR leaves the connect completing asynchronously (a signal whose
+    // handler was installed without SA_RESTART, e.g. a profiler's timer,
+    // interrupts a blocking connect): wait for writability and read the
+    // final status instead of failing.
     bool ok = false;
     if (errno == EINTR) {
       pollfd pfd{c.fd, POLLOUT, 0};
@@ -223,8 +224,8 @@ struct ThreadOutcome {
   std::string error;
 };
 
-// One client thread: owns a transport instance (listener-less) and the
-// connections adopted into it. Requests are encoded into each connection's
+// One client thread: owns a listener-less transport and the connections
+// adopted into it. Requests are encoded into each connection's
 // out buffer and handed to the transport; completed responses arrive through
 // the Handler callbacks.
 class ClientThread final : public Transport::Handler {
@@ -239,21 +240,20 @@ class ClientThread final : public Transport::Handler {
         outcome_(outcome),
         open_loop_(cfg.target_rate > 0) {}
 
-  void Run(TransportKind kind) {
-    std::string note;
-    auto transport = MakeTransport(kind, &note);
+  void Run() {
+    Transport transport;
     std::string err;
-    if (transport == nullptr || !transport->Init(this, -1, &err)) {
+    if (!transport.Init(this, -1, &err)) {
       for (auto& c : *conns_) {
         if (c.fd >= 0) {
           close(c.fd);
           c.fd = -1;
         }
       }
-      Fail("transport init: " + (transport == nullptr ? note : err));
+      Fail("transport init: " + err);
       return;
     }
-    transport_ = transport.get();
+    transport_ = &transport;
     for (auto& c : *conns_) {
       c.tconn = transport_->Adopt(c.fd, &c);
       c.fd = -1;  // the transport owns it now
@@ -432,22 +432,6 @@ LoadGenResult RunLoadGen(const LoadGenConfig& config, const Trace& trace) {
   const unsigned nconns = std::max(nthreads, config.connections);
   const bool open_loop = config.target_rate > 0;
 
-  // Resolve the backend once so every thread runs the same one.
-  TransportKind kind = config.transport;
-  if (kind == TransportKind::kAuto) {
-    std::string why;
-    kind = (MakeUringTransport() != nullptr && IoUringAvailable(&why))
-               ? TransportKind::kUring
-               : TransportKind::kEpoll;
-  } else if (kind == TransportKind::kUring) {
-    std::string why;
-    if (MakeUringTransport() == nullptr || !IoUringAvailable(&why)) {
-      result.error = "transport=uring: io_uring unavailable (" + why + ")";
-      return result;
-    }
-  }
-  result.transport_used = TransportKindName(kind);
-
   uint64_t total_ops = config.max_ops == 0 ? trace.size() : config.max_ops;
   if (open_loop && config.duration_s > 0) {
     total_ops = ~uint64_t{0};  // the deadline is the stop condition
@@ -499,8 +483,8 @@ LoadGenResult RunLoadGen(const LoadGenConfig& config, const Trace& trace) {
   for (unsigned t = 0; t < nthreads; ++t) {
     drivers.push_back(std::make_unique<ClientThread>(
         config, trace, &per_thread[t], deadline_ns, &outcomes[t]));
-    threads.emplace_back([driver = drivers.back().get(), kind] {
-      driver->Run(kind);  // the transport (and every adopted fd) dies here
+    threads.emplace_back([driver = drivers.back().get()] {
+      driver->Run();  // the transport (and every adopted fd) dies here
     });
   }
   for (auto& t : threads) {

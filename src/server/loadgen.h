@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/server/transport.h"
 #include "src/sim/metrics.h"
 #include "src/trace/trace.h"
 
@@ -34,9 +33,6 @@ struct LoadGenConfig {
   uint16_t port = 0;
   unsigned threads = 1;      // client event-loop threads
   unsigned connections = 8;  // total TCP connections, spread across threads
-  // Client-side data plane (same backends as the server); kAuto probes
-  // io_uring and falls back to epoll.
-  TransportKind transport = TransportKind::kAuto;
   // Closed loop: requests kept in flight per connection.
   unsigned pipeline_depth = 8;
   // > 0 switches to open loop at this many ops/second (all connections
@@ -59,7 +55,6 @@ struct LoadGenResult {
   double seconds = 0.0;      // wall time of the measurement
   double achieved_rate = 0;  // ops / seconds
   LatencyHistogram latency;  // nanoseconds per request
-  std::string transport_used;  // resolved client backend ("epoll"/"uring")
   bool ok = false;
   std::string error;
 };

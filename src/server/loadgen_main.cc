@@ -3,14 +3,13 @@
 //   s3fifo_loadgen --port N [--host H] [--threads N] [--connections N]
 //                  [--depth N] [--ops N] [--rate OPS/S] [--duration S]
 //                  [--objects N] [--alpha A] [--seed N]
-//                  [--transport auto|uring|epoll] [--latency-csv PATH]
+//                  [--latency-csv PATH]
 //
 // Replays a Zipf workload against a running s3fifo_server in the memcached
 // text protocol. Default is closed-loop (each connection keeps --depth
 // requests in flight); --rate switches to a fixed-rate open loop whose
 // latencies are measured from intended send times (coordinated-omission
-// safe). Prints throughput and p50/p99/p999. --transport picks the client
-// data plane (same backends as the server); --latency-csv dumps the HDR
+// safe). Prints throughput and p50/p99/p999. --latency-csv dumps the HDR
 // histogram buckets for offline plotting, in both modes.
 #include <cstdio>
 #include <cstdlib>
@@ -27,7 +26,7 @@ namespace {
                "usage: %s --port N [--host H] [--threads N] [--connections N] "
                "[--depth N] [--ops N] [--rate OPS/S] [--duration S] "
                "[--objects N] [--alpha A] [--seed N] "
-               "[--transport auto|uring|epoll] [--latency-csv PATH]\n",
+               "[--latency-csv PATH]\n",
                argv0);
   std::exit(2);
 }
@@ -98,10 +97,6 @@ int main(int argc, char** argv) {
       workload.alpha = std::atof(next());
     } else if (arg == "--seed") {
       workload.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--transport") {
-      if (!s3fifo::ParseTransportKind(next(), &config.transport)) {
-        Usage(argv[0]);
-      }
     } else if (arg == "--latency-csv") {
       latency_csv = next();
     } else if (arg.rfind("--latency-csv=", 0) == 0) {
@@ -121,9 +116,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const char* mode = config.target_rate > 0 ? "open" : "closed";
-  std::printf("mode=%s transport=%s conns=%u depth=%u ops=%llu secs=%.3f "
+  std::printf("mode=%s conns=%u depth=%u ops=%llu secs=%.3f "
               "rate=%.0f/s hit_ratio=%.4f\n",
-              mode, r.transport_used.c_str(), config.connections,
+              mode, config.connections,
               config.pipeline_depth, static_cast<unsigned long long>(r.ops),
               r.seconds, r.achieved_rate,
               r.gets > 0 ? static_cast<double>(r.get_hits) / r.gets : 0.0);

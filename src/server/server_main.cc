@@ -2,14 +2,10 @@
 //
 //   s3fifo_server [--port N] [--workers N] [--capacity N] [--value-bytes N]
 //                 [--cache-shards N] [--max-batch N]
-//                 [--transport auto|uring|epoll]
 //
 // Serves the memcached text subset (get/gets/mget/set/delete/stats/version/
 // quit) on top of the sharded lock-free concurrent S3-FIFO. Prints the bound
 // port on stdout (useful with --port 0) and runs until SIGINT/SIGTERM.
-// --transport picks the data plane: io_uring (batched submit-and-wait) or
-// epoll (per-fd readiness); auto probes io_uring and falls back to epoll,
-// logging the reason.
 #include <signal.h>
 
 #include <atomic>
@@ -31,8 +27,7 @@ void OnSignal(int) { g_stop.store(true); }
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--workers N] [--capacity N] "
-               "[--value-bytes N] [--cache-shards N] [--max-batch N] "
-               "[--transport auto|uring|epoll]\n",
+               "[--value-bytes N] [--cache-shards N] [--max-batch N]\n",
                argv0);
   std::exit(2);
 }
@@ -63,10 +58,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--max-batch") {
       config.max_batch = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--transport") {
-      if (!s3fifo::ParseTransportKind(next(), &config.transport)) {
-        Usage(argv[0]);
-      }
     } else {
       Usage(argv[0]);
     }
@@ -78,14 +69,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to start: %s\n", error.c_str());
     return 1;
   }
-  if (!server.transport_note().empty()) {
-    std::fprintf(stderr, "%s\n", server.transport_note().c_str());
-  }
-  std::printf("listening on %s:%u (workers=%u capacity=%llu shards=%u "
-              "transport=%s)\n",
+  std::printf("listening on %s:%u (workers=%u capacity=%llu shards=%u)\n",
               config.host.c_str(), server.port(), config.workers,
               static_cast<unsigned long long>(config.cache.capacity_objects),
-              config.cache.cache_shards, server.transport_name());
+              config.cache.cache_shards);
   std::fflush(stdout);
 
   signal(SIGINT, OnSignal);

@@ -1,23 +1,9 @@
-// Pluggable data plane for the cache server and the load generator.
+// The event loop of one cache-server worker or load-generator thread:
+// edge-triggered epoll with per-fd nonblocking read/send syscalls.
 //
-// A Transport owns the event loop mechanics of one worker thread — accepting
-// connections, moving bytes between sockets and the protocol layer, and
-// waking up for shutdown — behind one interface with two backends:
-//
-//  * epoll (src/server/epoll_transport.cc): the readiness model. Per-fd
-//    nonblocking read/write syscalls driven by edge-triggered epoll. Always
-//    available; the default-on-failure path.
-//
-//  * io_uring (src/server/uring_transport.cc): the completion model. One
-//    multishot accept per listener, one multishot recv per connection
-//    delivering into a registered provided-buffer ring, sends queued as
-//    SQEs, and one io_uring_submit_and_wait per loop iteration replacing the
-//    per-fd syscall storm. Probed at runtime (io_uring_setup may be denied
-//    by the kernel or a seccomp sandbox) and cleanly replaced by epoll.
-//
-// The protocol layer implements Transport::Handler. The contract is
-// completion-shaped because epoll can emulate completions cheaply while the
-// reverse (readiness on top of io_uring) would forfeit the batching:
+// A Transport accepts connections, moves bytes between sockets and the
+// protocol layer, and wakes up for shutdown. The protocol layer implements
+// Transport::Handler:
 //
 //  * incoming bytes are pushed: the transport asks the handler for writable
 //    space (GetReadBuffer) and commits bytes into it (OnData). The handler
@@ -26,10 +12,9 @@
 //    ResumeRead().
 //
 //  * outgoing bytes are owned by the transport: Send() swaps the caller's
-//    buffer into the transport's per-connection send queue (no copy, and the
-//    bytes stay stable while the kernel may still be reading them — an
-//    io_uring send SQE references them asynchronously). OnWritable fires
-//    when the queue fully drains.
+//    buffer into the transport's per-connection send queue (no copy; the
+//    caller gets back an empty buffer, possibly with recycled capacity).
+//    OnWritable fires when the queue fully drains.
 //
 // Threading: a Transport instance belongs to one thread. Only Wake() may be
 // called from other threads.
@@ -38,46 +23,25 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace s3fifo {
 
-enum class TransportKind : uint8_t { kAuto, kEpoll, kUring };
-
-// "auto" | "epoll" | "uring" (also accepts "io_uring").
-bool ParseTransportKind(std::string_view name, TransportKind* out);
-const char* TransportKindName(TransportKind kind);
-
 // Data-plane efficiency counters, maintained by the owning thread (plain
 // fields — publish through atomics to read them from elsewhere). Together
-// they make syscalls/op and batching observable without perf(1).
+// they make syscalls/op and events/wait observable without perf(1).
 struct TransportCounters {
-  uint64_t syscalls = 0;     // every kernel crossing made by the data plane
-  uint64_t waits = 0;        // blocking waits (epoll_wait / enter+GETEVENTS)
-  uint64_t events = 0;       // readiness events or CQEs dispatched
-  uint64_t sqes = 0;         // io_uring: SQEs submitted
-  uint64_t sqe_batches = 0;  // io_uring: enter calls that submitted >=1 SQE
-  uint64_t recv_merges = 0;  // io_uring: multishot recv CQEs that kept the
-                             // recv armed (no re-arm SQE needed)
-  uint64_t accepts = 0;      // connections accepted by the transport
-
-  void Merge(const TransportCounters& o) {
-    syscalls += o.syscalls;
-    waits += o.waits;
-    events += o.events;
-    sqes += o.sqes;
-    sqe_batches += o.sqe_batches;
-    recv_merges += o.recv_merges;
-    accepts += o.accepts;
-  }
+  uint64_t syscalls = 0;  // every kernel crossing made by the data plane
+  uint64_t waits = 0;     // epoll_wait calls
+  uint64_t events = 0;    // readiness events dispatched
+  uint64_t accepts = 0;   // connections accepted by the transport
 };
 
 class Transport {
  public:
-  // Opaque per-connection handle owned by the transport.
+  // Per-connection state owned by the transport (defined in transport.cc).
   struct Conn;
 
   class Handler {
@@ -87,8 +51,8 @@ class Transport {
     // every later callback for this connection; may not be null.
     virtual void* OnAccept(Conn* conn) = 0;
     // The transport has incoming bytes. Return >=1 byte of writable space,
-    // or false to pause reading until ResumeRead() (the transport buffers or
-    // defers the data; TCP flow control eventually takes over).
+    // or false to pause reading until ResumeRead() (the bytes stay in the
+    // socket; TCP flow control eventually takes over).
     virtual bool GetReadBuffer(Conn* conn, void* ud, char** buf,
                                size_t* cap) = 0;
     // `n` bytes were written into the space returned by the immediately
@@ -103,60 +67,69 @@ class Transport {
     virtual void OnClose(Conn* conn, void* ud) = 0;
   };
 
-  virtual ~Transport() = default;
+  Transport() = default;
+  ~Transport();
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
   // `listen_fd`: a bound, listening, nonblocking socket (caller keeps
-  // ownership), or -1 for a client-only transport. Creates the wake eventfd
-  // and (io_uring) the ring + provided-buffer pool. False on failure with
-  // *error set; an io_uring transport failing here is the cue to fall back
-  // to epoll.
-  virtual bool Init(Handler* handler, int listen_fd, std::string* error) = 0;
+  // ownership), or -1 for a client-only transport. Creates the epoll
+  // instance and the wake eventfd. False on failure with *error set.
+  bool Init(Handler* handler, int listen_fd, std::string* error);
 
   // One event-loop iteration: waits up to `timeout_ms` (-1 = forever) for
-  // work if none is pending, dispatches a batch of events through the
-  // handler. Returns false only on unrecoverable transport failure.
-  virtual bool Poll(int timeout_ms) = 0;
+  // events and dispatches them through the handler. Returns false only on
+  // an unrecoverable epoll failure.
+  bool Poll(int timeout_ms);
 
   // Thread-safe: interrupts a concurrent (or the next) Poll().
-  virtual void Wake() = 0;
+  void Wake();
 
   // Adopts a connected nonblocking fd (load-generator client connections).
   // The transport owns the fd from here on.
-  virtual Conn* Adopt(int fd, void* ud) = 0;
+  Conn* Adopt(int fd, void* ud);
 
   // Queues `*data` for sending, swapping it into the transport (it comes
   // back empty, possibly with recycled capacity). The transport flushes as
   // the socket allows; OnWritable fires when everything queued has drained.
-  virtual void Send(Conn* conn, std::vector<char>* data) = 0;
+  void Send(Conn* conn, std::vector<char>* data);
 
   // Bytes queued but not yet accepted by the kernel (watermark checks).
-  virtual size_t SendQueueBytes(const Conn* conn) const = 0;
+  size_t SendQueueBytes(const Conn* conn) const;
 
-  // Re-enables reading after GetReadBuffer returned false.
-  virtual void ResumeRead(Conn* conn) = 0;
+  // Re-enables reading after GetReadBuffer returned false. Reads what the
+  // socket already holds before returning, so OnData may re-enter the
+  // handler from here.
+  void ResumeRead(Conn* conn);
 
   // Closes the connection now (pending unsent output is dropped — callers
   // drain via OnWritable first if they care). Does NOT call OnClose: the
   // caller initiated it and cleans up its own state.
-  virtual void Close(Conn* conn) = 0;
+  void Close(Conn* conn);
 
-  virtual const TransportCounters& counters() const = 0;
-  virtual const char* name() const = 0;
+  const TransportCounters& counters() const { return counters_; }
+
+ private:
+  std::vector<char> TakeBuffer(std::vector<char>* data);
+  void RecycleBuffer(std::vector<char>&& buf);
+  void HandleAccept();
+  bool FlushSendQueue(Conn* c);
+  void ReadReady(Conn* c);
+  void CloseInternal(Conn* c, bool notify);
+  void DeliverClosures();
+
+  Handler* handler_ = nullptr;
+  int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  // Distinct addresses used as epoll_event tags for non-connection fds.
+  char listen_tag_ = 0;
+  char wake_tag_ = 0;
+  std::vector<Conn*> conns_;
+  std::vector<std::pair<Conn*, bool>> dead_;  // (conn, deliver OnClose)
+  std::vector<std::vector<char>> free_bufs_;
+  TransportCounters counters_;
 };
-
-std::unique_ptr<Transport> MakeEpollTransport();
-// Null when io_uring support is compiled out (non-Linux).
-std::unique_ptr<Transport> MakeUringTransport();
-
-// Runtime probe: io_uring_setup + provided-buffer-ring registration. False
-// with *why naming the errno (e.g. "io_uring_setup: EPERM (Operation not
-// permitted)") when the kernel or a seccomp sandbox denies it.
-bool IoUringAvailable(std::string* why);
-
-// Resolves kAuto to uring-if-available (else epoll). On fallback, appends a
-// human-readable note to *note (one line, already newline-free). Returns
-// null only for kUring when io_uring is unavailable, with *note set.
-std::unique_ptr<Transport> MakeTransport(TransportKind kind, std::string* note);
 
 }  // namespace s3fifo
 

@@ -1,8 +1,8 @@
-// End-to-end tests for the cache server over loopback TCP, parameterized
-// over both transport backends (epoll and io_uring — the uring leg skips,
-// not fails, where the kernel denies io_uring_setup):
+// End-to-end tests for the cache server over loopback TCP:
 //  * protocol smoke (set/get/delete/stats, pipelining, noreply, fragmented
 //    writes, protocol errors, quit);
+//  * backpressure: a deep pipeline from a client that does not read, then
+//    drains, gets every reply;
 //  * the §5.3 consistency check taken all the way through the network
 //    stack: a deterministic trace replayed through a shards=1 server must
 //    produce hit/miss counts IDENTICAL to the simulator's s3fifo policy —
@@ -18,14 +18,16 @@
 
 #include <arpa/inet.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/concurrent/concurrent_s3fifo.h"
 #include "src/core/cache_factory.h"
 #include "src/server/cache_server.h"
 #include "src/server/loadgen.h"
-#include "src/server/transport.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
@@ -51,6 +53,7 @@ class TestClient {
   ~TestClient() { close(fd_); }
 
   bool connected() const { return connected_; }
+  int fd() const { return fd_; }
 
   void Send(std::string_view data) {
     size_t sent = 0;
@@ -72,8 +75,8 @@ class TestClient {
            buf.compare(buf.size() - suffix.size(), suffix.size(), suffix) != 0) {
       const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) {
-        // With an in-process io_uring server, task-work notifications can
-        // interrupt this thread's syscalls; a timed recv is not restartable.
+        // A recv with SO_RCVTIMEO set is never restarted after a signal
+        // handler runs, even one installed with SA_RESTART.
         continue;
       }
       if (n <= 0) {
@@ -102,50 +105,17 @@ class TestClient {
   bool connected_ = false;
 };
 
-ServerConfig SmallServerConfig(TransportKind transport) {
+ServerConfig SmallServerConfig() {
   ServerConfig config;
   config.workers = 1;
   config.cache.capacity_objects = 1000;
   config.cache.value_size = 8;
   config.cache.cache_shards = 1;
-  config.transport = transport;
   return config;
 }
 
-// Every test in this file runs once per transport backend. A request for
-// io_uring where the kernel (or a seccomp sandbox) denies it is a SKIP, not
-// a failure — availability is probed, never assumed.
-class TransportParamTest : public ::testing::TestWithParam<TransportKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == TransportKind::kUring) {
-      std::string why;
-      if (!IoUringAvailable(&why)) {
-        GTEST_SKIP() << "io_uring unavailable: " << why;
-      }
-    }
-  }
-};
-
-class CacheServerTest : public TransportParamTest {};
-class ServerSimulatorParityTest : public TransportParamTest {};
-
-std::string TransportParamName(
-    const ::testing::TestParamInfo<TransportKind>& info) {
-  return TransportKindName(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(Transports, CacheServerTest,
-                         ::testing::Values(TransportKind::kEpoll,
-                                           TransportKind::kUring),
-                         TransportParamName);
-INSTANTIATE_TEST_SUITE_P(Transports, ServerSimulatorParityTest,
-                         ::testing::Values(TransportKind::kEpoll,
-                                           TransportKind::kUring),
-                         TransportParamName);
-
-TEST_P(CacheServerTest, SetGetDeleteRoundTrip) {
-  CacheServer server(SmallServerConfig(GetParam()));
+TEST(CacheServerTest, SetGetDeleteRoundTrip) {
+  CacheServer server(SmallServerConfig());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   TestClient client(server.port());
@@ -175,8 +145,8 @@ TEST_P(CacheServerTest, SetGetDeleteRoundTrip) {
   server.Stop();
 }
 
-TEST_P(CacheServerTest, PipelinedCommandsAnswerInOrder) {
-  CacheServer server(SmallServerConfig(GetParam()));
+TEST(CacheServerTest, PipelinedCommandsAnswerInOrder) {
+  CacheServer server(SmallServerConfig());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   TestClient client(server.port());
@@ -202,8 +172,8 @@ TEST_P(CacheServerTest, PipelinedCommandsAnswerInOrder) {
   server.Stop();
 }
 
-TEST_P(CacheServerTest, FragmentedWritesReassemble) {
-  CacheServer server(SmallServerConfig(GetParam()));
+TEST(CacheServerTest, FragmentedWritesReassemble) {
+  CacheServer server(SmallServerConfig());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   TestClient client(server.port());
@@ -220,8 +190,8 @@ TEST_P(CacheServerTest, FragmentedWritesReassemble) {
   server.Stop();
 }
 
-TEST_P(CacheServerTest, ProtocolErrorsDoNotDesynchronize) {
-  CacheServer server(SmallServerConfig(GetParam()));
+TEST(CacheServerTest, ProtocolErrorsDoNotDesynchronize) {
+  CacheServer server(SmallServerConfig());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   TestClient client(server.port());
@@ -234,8 +204,8 @@ TEST_P(CacheServerTest, ProtocolErrorsDoNotDesynchronize) {
   server.Stop();
 }
 
-TEST_P(CacheServerTest, NoreplySuppressesResponses) {
-  CacheServer server(SmallServerConfig(GetParam()));
+TEST(CacheServerTest, NoreplySuppressesResponses) {
+  CacheServer server(SmallServerConfig());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   TestClient client(server.port());
@@ -248,8 +218,8 @@ TEST_P(CacheServerTest, NoreplySuppressesResponses) {
   server.Stop();
 }
 
-TEST_P(CacheServerTest, StatsReportServerCounters) {
-  CacheServer server(SmallServerConfig(GetParam()));
+TEST(CacheServerTest, StatsReportServerCounters) {
+  CacheServer server(SmallServerConfig());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   TestClient client(server.port());
@@ -269,8 +239,8 @@ TEST_P(CacheServerTest, StatsReportServerCounters) {
   server.Stop();
 }
 
-TEST_P(CacheServerTest, QuitClosesTheConnection) {
-  CacheServer server(SmallServerConfig(GetParam()));
+TEST(CacheServerTest, QuitClosesTheConnection) {
+  CacheServer server(SmallServerConfig());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   TestClient client(server.port());
@@ -283,6 +253,84 @@ TEST_P(CacheServerTest, QuitClosesTheConnection) {
   server.Stop();
 }
 
+// A client pipelines far more gets than the server may answer before the
+// client reads, and only then drains. The server blocks parsing at the out
+// watermark and pauses reading once its in-buffer fills. When a drain
+// unblocks it, Pump resumes reading, which re-enters OnData and Pump with
+// the outer Pump still on the stack. The nested reads used to fill the
+// in-buffer and close the connection as oversized, freeing it under the
+// outer Pump: heap-use-after-free under ASan, a reset or a crash without.
+TEST(CacheServerTest, DeepPipelineWithoutReadingGetsEveryReply) {
+  constexpr uint64_t kGets = 1000000;
+  ServerConfig config = SmallServerConfig();
+  config.cache.value_size = 64;
+  CacheServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const std::string value(64, 'v');
+  client.Send("set 1 0 0 64\r\n" + value + "\r\n");
+  ASSERT_EQ(client.ReadUntil("STORED\r\n"), "STORED\r\n");
+
+  std::string stream;
+  stream.reserve(kGets * 7);
+  for (uint64_t i = 0; i < kGets; ++i) {
+    stream += "get 1\r\n";
+  }
+  std::atomic<bool> sent_all{false};
+  std::thread sender([&] {
+    size_t sent = 0;
+    while (sent < stream.size()) {
+      const ssize_t n = send(client.fd(), stream.data() + sent,
+                             stream.size() - sent, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      if (n <= 0) {
+        return;  // the server closed the connection
+      }
+      sent += static_cast<size_t>(n);
+    }
+    sent_all = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  // Every reply is the same hit; check the drained stream byte by byte.
+  const std::string reply = "VALUE 1 0 64\r\n" + value + "\r\nEND\r\n";
+  const uint64_t expected = kGets * reply.size();
+  timeval tv{10, 0};
+  setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  uint64_t received = 0;
+  uint64_t first_mismatch = expected;
+  std::vector<char> chunk(1 << 16);
+  while (received < expected) {
+    const ssize_t n = recv(client.fd(), chunk.data(), chunk.size(), 0);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      break;  // EOF, reset or timeout
+    }
+    for (ssize_t i = 0; i < n && first_mismatch == expected; ++i) {
+      if (chunk[i] != reply[(received + i) % reply.size()]) {
+        first_mismatch = received + i;
+      }
+    }
+    received += static_cast<uint64_t>(n);
+  }
+  shutdown(client.fd(), SHUT_RDWR);  // unblocks the sender if it is stuck
+  sender.join();
+
+  EXPECT_TRUE(sent_all);
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(first_mismatch, expected) << "reply stream diverged";
+  const ServerStats stats = server.TotalStats();
+  EXPECT_EQ(stats.cmd_get, kGets);
+  EXPECT_EQ(stats.get_hits, kGets);
+  server.Stop();
+}
+
 // --- The tentpole acceptance check -----------------------------------------
 
 // Bit-exact parity: trace -> loadgen -> TCP -> parser -> per-connection
@@ -291,7 +339,7 @@ TEST_P(CacheServerTest, QuitClosesTheConnection) {
 // a single connection preserves request order, and capacity is divisible by
 // 10 so the prototype's ghost capacity (capacity - small) equals the
 // simulator's (0.9 * capacity).
-TEST_P(ServerSimulatorParityTest, HitCountsMatchSimulateBitExactly) {
+TEST(ServerSimulatorParityTest, HitCountsMatchSimulateBitExactly) {
   constexpr uint64_t kObjects = 20000;
   constexpr uint64_t kRequests = 60000;
   constexpr uint64_t kCapacity = 2000;
@@ -322,7 +370,6 @@ TEST_P(ServerSimulatorParityTest, HitCountsMatchSimulateBitExactly) {
   config.cache.capacity_objects = kCapacity;
   config.cache.value_size = 8;
   config.cache.cache_shards = 1;
-  config.transport = GetParam();
   ConcurrentS3Fifo cache(config.cache);
   CacheServer server(config, &cache);
   std::string error;
@@ -333,7 +380,6 @@ TEST_P(ServerSimulatorParityTest, HitCountsMatchSimulateBitExactly) {
   lg.threads = 1;
   lg.connections = 1;
   lg.pipeline_depth = 32;
-  lg.transport = GetParam();
   const LoadGenResult r = RunLoadGen(lg, trace);
   ASSERT_TRUE(r.ok) << r.error;
 
@@ -353,7 +399,7 @@ TEST_P(ServerSimulatorParityTest, HitCountsMatchSimulateBitExactly) {
 // The same parity must hold when requests flow through mget multi-key
 // batches of varying size — key grouping changes GetBatch call shapes but
 // may not change outcomes.
-TEST_P(ServerSimulatorParityTest, MultiGetGroupingPreservesOutcomes) {
+TEST(ServerSimulatorParityTest, MultiGetGroupingPreservesOutcomes) {
   constexpr uint64_t kObjects = 5000;
   constexpr uint64_t kRequests = 20000;
   constexpr uint64_t kCapacity = 500;
@@ -382,7 +428,6 @@ TEST_P(ServerSimulatorParityTest, MultiGetGroupingPreservesOutcomes) {
   config.cache.capacity_objects = kCapacity;
   config.cache.value_size = 8;
   config.cache.cache_shards = 1;
-  config.transport = GetParam();
   CacheServer server(config);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;

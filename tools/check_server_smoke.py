@@ -4,21 +4,19 @@
 Usage:
   check_server_smoke.py [SERVER_BIN] [LOADGEN_BIN]
 
-Runs the whole check once per transport backend (epoll, then io_uring).
-For each leg it starts s3fifo_server on an ephemeral port with
---transport pinned, then:
+Starts s3fifo_server on an ephemeral port, then:
   1. speaks the protocol directly over a socket: set/get round-trips the
      stored bytes, delete removes it, stats reports coherent counters;
-  2. runs a short closed-loop s3fifo_loadgen burst (same transport) and
-     checks every requested op completed with a plausible hit ratio;
-  3. re-reads stats and checks the server counted at least the loadgen
-     ops AND that the data-plane counters name the pinned transport;
+  2. runs a short closed-loop s3fifo_loadgen burst and checks every
+     requested op completed with a plausible hit ratio;
+  3. re-reads stats and checks the server counted at least the loadgen ops
+     and that the data-plane counters are populated;
   4. sends SIGINT and verifies a clean exit with a shutdown stats line.
 
-The io_uring leg SKIPs — it does not fail — when the kernel or a seccomp
-sandbox denies io_uring_setup (EPERM/ENOSYS/EACCES): the server refuses to
-start, this tool logs the fallback explicitly, and the epoll leg remains
-the binding check. Any other io_uring failure is a real failure.
+Then the overload step starts a one-worker server and offers it an open
+loop far past its saturation rate (2 loadgen threads, 4 connections at
+depth 8, 4M ops/s for 2 s). The server must survive: afterwards it still
+answers stats, and it exits 0 on one SIGINT.
 
 Exits non-zero with a diagnostic on any violation.
 """
@@ -28,13 +26,10 @@ import signal
 import socket
 import subprocess
 import sys
-import time
 
-TRANSPORTS = ("epoll", "uring")
-
-# Denial errnos that mean "this environment forbids io_uring", not "the
-# transport is broken": the uring leg skips on these and only these.
-URING_DENIED = ("EPERM", "ENOSYS", "EACCES")
+OVERLOAD_ARGS = ["--threads", "2", "--connections", "4", "--depth", "8",
+                 "--rate", "4000000", "--duration", "2",
+                 "--objects", "131072"]
 
 
 def fail(msg):
@@ -59,16 +54,13 @@ def read_stats(port):
         s.sendall(b"stats\r\n")
         raw = recv_until(s, b"END\r\n").decode()
     stats = {}
-    text = {}
     for line in raw.splitlines():
         parts = line.split()
-        if len(parts) == 3 and parts[0] == "STAT":
-            text[parts[1]] = parts[2]
-            if parts[2].isdigit():
-                stats[parts[1]] = int(parts[2])
+        if len(parts) == 3 and parts[0] == "STAT" and parts[2].isdigit():
+            stats[parts[1]] = int(parts[2])
     if not stats:
         fail(f"stats response had no STAT lines: {raw!r}")
-    return stats, text
+    return stats
 
 
 def check_protocol(port):
@@ -98,44 +90,47 @@ def check_protocol(port):
     print("server smoke: protocol round-trip OK")
 
 
-def run_leg(server_bin, loadgen_bin, transport):
-    """Returns True if the leg ran, False if it was skipped."""
+def start_server(server_bin, *args):
+    """Starts the server on an ephemeral port; returns (process, port)."""
     server = subprocess.Popen(
-        [server_bin, "--port", "0", "--workers", "2", "--capacity", "20000",
-         "--transport", transport],
+        [server_bin, "--port", "0", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     )
-    try:
-        line = server.stdout.readline()
-        if not line:
-            # Startup failure: decide skip vs fail from the diagnostic.
-            try:
-                server.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                fail(f"transport={transport} produced no output and hung")
-            err = server.stderr.read().strip()
-            if transport == "uring" and any(e in err for e in URING_DENIED):
-                print(f"server smoke: transport=uring SKIPPED "
-                      f"(io_uring denied by this environment: {err!r}); "
-                      f"epoll leg remains the binding check")
-                return False
-            fail(f"transport={transport} failed to start: {err!r}")
-        m = re.search(r"listening on 127\.0\.0\.1:(\d+)", line)
-        if not m:
-            fail(f"server did not announce a port: {line!r}")
-        port = int(m.group(1))
-        if f"transport={transport}" not in line:
-            fail(f"server did not announce transport={transport}: {line!r}")
+    line = server.stdout.readline()
+    m = re.search(r"listening on 127\.0\.0\.1:(\d+)", line)
+    if not m:
+        server.kill()
+        fail(f"server did not announce a port: {line!r} "
+             f"(stderr: {server.stderr.read().strip()!r})")
+    return server, int(m.group(1))
 
+
+def stop_server(server, what):
+    """One SIGINT must end the server with status 0 and a shutdown line."""
+    server.send_signal(signal.SIGINT)
+    try:
+        out, _ = server.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        fail(f"{what}: server did not exit within 10 s of SIGINT")
+    if server.returncode != 0:
+        fail(f"{what}: server exited {server.returncode} on SIGINT")
+    if "shutdown:" not in out:
+        fail(f"{what}: no shutdown stats line: {out!r}")
+    return out.strip().splitlines()[-1]
+
+
+def run_basic(server_bin, loadgen_bin):
+    server, port = start_server(server_bin, "--workers", "2",
+                                "--capacity", "20000")
+    try:
         check_protocol(port)
 
         ops = 50000
         load = subprocess.run(
             [loadgen_bin, "--port", str(port), "--connections", "4",
-             "--depth", "16", "--ops", str(ops), "--objects", "100000",
-             "--transport", transport],
+             "--depth", "16", "--ops", str(ops), "--objects", "100000"],
             capture_output=True,
             text=True,
             timeout=120,
@@ -151,12 +146,9 @@ def run_leg(server_bin, loadgen_bin, transport):
             fail(f"loadgen completed {done} of {ops} ops")
         if not 0.0 < hit_ratio < 1.0:
             fail(f"implausible hit ratio {hit_ratio}")
-        if f"transport={transport}" not in load.stdout:
-            fail(f"loadgen did not report transport={transport}: "
-                 f"{load.stdout!r}")
         print(f"server smoke: loadgen OK ({load.stdout.splitlines()[0]})")
 
-        stats, text = read_stats(port)
+        stats = read_stats(port)
         # The default Zipf trace is get-dominated; a generous floor guards
         # against the server under-counting without pinning the exact mix.
         if stats.get("cmd_get", 0) < ops // 2:
@@ -166,9 +158,6 @@ def run_leg(server_bin, loadgen_bin, transport):
             fail(f"hit+miss counters incoherent: {stats}")
         if stats.get("batches", 0) == 0:
             fail("server never batched pipelined gets")
-        if text.get("transport") != transport:
-            fail(f"stats reported transport={text.get('transport')!r}, "
-                 f"expected {transport}")
         if stats.get("transport_syscalls", 0) == 0:
             fail("data-plane counters missing: transport_syscalls == 0")
         print(
@@ -176,16 +165,35 @@ def run_leg(server_bin, loadgen_bin, transport):
             f"(cmd_get={stats['cmd_get']} batches={stats['batches']} "
             f"transport_syscalls={stats['transport_syscalls']})"
         )
+        print(f"server smoke: clean shutdown ({stop_server(server, 'basic')})")
+    finally:
+        if server.poll() is None:
+            server.kill()
 
-        server.send_signal(signal.SIGINT)
-        out, _ = server.communicate(timeout=10)
-        if server.returncode != 0:
-            fail(f"server exited {server.returncode} on SIGINT")
-        if "shutdown:" not in out:
-            fail(f"no shutdown stats line: {out!r}")
-        print(f"server smoke: transport={transport} OK, clean shutdown "
-              f"({out.strip().splitlines()[-1]})")
-        return True
+
+def run_overload(server_bin, loadgen_bin):
+    server, port = start_server(server_bin, "--workers", "1",
+                                "--capacity", "32768")
+    try:
+        load = subprocess.run(
+            [loadgen_bin, "--port", str(port), *OVERLOAD_ARGS],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        if server.poll() is not None:
+            fail(f"overload: server died with status {server.returncode} "
+                 f"(loadgen: {load.stderr.strip() or load.stdout.strip()})")
+        if load.returncode != 0:
+            fail(f"overload: loadgen exited {load.returncode}: {load.stderr}")
+        summary = load.stdout.splitlines()[0] if load.stdout else ""
+        print(f"server smoke: overload run done ({summary})")
+        stats = read_stats(port)
+        if stats.get("cmd_get", 0) == 0:
+            fail(f"overload: server counted no gets: {stats}")
+        print(f"server smoke: overload stats OK (cmd_get={stats['cmd_get']})")
+        print(f"server smoke: overload clean shutdown "
+              f"({stop_server(server, 'overload')})")
     finally:
         if server.poll() is None:
             server.kill()
@@ -194,14 +202,9 @@ def run_leg(server_bin, loadgen_bin, transport):
 def main(argv):
     server_bin = argv[1] if len(argv) > 1 else "./build/src/s3fifo_server"
     loadgen_bin = argv[2] if len(argv) > 2 else "./build/src/s3fifo_loadgen"
-    ran = []
-    for transport in TRANSPORTS:
-        print(f"server smoke: --- transport={transport} ---")
-        if run_leg(server_bin, loadgen_bin, transport):
-            ran.append(transport)
-    if "epoll" not in ran:
-        fail("epoll leg did not run")  # unreachable: epoll never skips
-    print(f"server smoke OK: transports covered = {', '.join(ran)}")
+    run_basic(server_bin, loadgen_bin)
+    run_overload(server_bin, loadgen_bin)
+    print("server smoke OK")
 
 
 if __name__ == "__main__":
