@@ -2,10 +2,11 @@
 // accounting across admission policies, log orderings, and the small-object
 // set store, on the fig09 wiki-like and tencent-photo-like traces.
 //
-// This is the axis the abstract FlashCacheSim could not report: every row
-// carries device_bytes_written (what the flash absorbs) next to
-// admitted_bytes (what the cache asked for), their ratio being the write
-// amplification the admission policy + GC discipline produce together.
+// Fig. 9 runs only the pure segment FIFO (WA 1); this bench adds GC
+// readmission, RIPQ ordering and the set store. Every row carries
+// device_bytes_written (what the flash absorbs) next to admitted_bytes
+// (what the cache asked for), their ratio being the write amplification the
+// admission policy + GC discipline produce together.
 // Emits BENCH_flash.json for cross-PR tracking.
 #include <cstdio>
 #include <string>

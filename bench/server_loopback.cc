@@ -2,8 +2,8 @@
 // behind the memcached text protocol, driven over loopback TCP by the
 // in-process load generator. Sweeps worker-thread counts and pipelining
 // depths in closed-loop mode (capacity: each connection keeps N requests in
-// flight), then runs a fixed-rate open loop at half the measured closed-loop
-// throughput, with latencies measured from intended send times
+// flight), then runs a fixed-rate open loop at each depth at half that
+// depth's measured closed-loop throughput, with latencies measured from intended send times
 // (coordinated-omission safe). Each row carries the server-side kernel
 // crossings per operation, from the transport counters. Emits
 // BENCH_server.json.
@@ -13,6 +13,7 @@
 // meaningful signal is the pipelining-depth gain (per-connection batches
 // amortize protocol, syscall and cache-probe cost through GetBatch).
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,7 @@ void Run() {
     // Per-run syscall deltas: TotalStats accumulates across the sweep, so
     // snapshot around every loadgen run. False if the load generator failed.
     ServerStats before = server.TotalStats();
-    double closed_rate_depth_max = 0;
+    std::map<unsigned, double> closed_rate;  // pipeline depth -> ops/s
     auto run = [&](const LoadGenConfig& lg) {
       const LoadGenResult r = RunLoadGen(lg, trace);
       if (!r.ok) {
@@ -76,8 +77,8 @@ void Run() {
       const uint64_t syscalls =
           after.transport_syscalls - before.transport_syscalls;
       before = after;
-      if (!open && r.achieved_rate > closed_rate_depth_max) {
-        closed_rate_depth_max = r.achieved_rate;
+      if (!open) {
+        closed_rate[lg.pipeline_depth] = r.achieved_rate;
       }
       const double hit =
           r.gets > 0 ? static_cast<double>(r.get_hits) / r.gets : 0;
@@ -120,13 +121,14 @@ void Run() {
         return;
       }
     }
-    // Open loop at ~50% of this worker count's best closed-loop
-    // throughput: below saturation, so the tail reflects service jitter,
-    // not queueing collapse.
+    // Open loop at 50% of the closed-loop throughput of the same worker
+    // count and depth: below that depth's saturation, so the tail reflects
+    // service jitter, not queueing. (Deeper pipelines saturate higher, so a
+    // rate taken from the deepest closed run would overload depth 8.)
     for (const unsigned depth : {8u, 32u}) {
       lg.pipeline_depth = depth;
       lg.max_ops = 0;
-      lg.target_rate = closed_rate_depth_max * 0.5;
+      lg.target_rate = closed_rate[depth] * 0.5;
       lg.duration_s = open_duration_s;
       if (!run(lg)) {
         return;

@@ -1,21 +1,31 @@
-// Two-tier DRAM + log-structured flash cache: the drop-in "real backend"
-// alternative to FlashCacheSim (ROADMAP item 2).
+// Two-tier DRAM + flash cache (paper §5.4, Fig. 9): the repo's one flash
+// model.
 //
-// The DRAM front and admission gate are the same as flash_cache.h — kLru or
-// the paper's kSmallFifo discipline with a ghost queue, every DRAM eviction
-// passing through an AdmissionPolicy — but the flash tier is no longer an
-// abstract byte-counted FIFO. Admitted objects route by size:
+// A DRAM front buffers new objects, and an AdmissionPolicy decides which
+// DRAM-evicted objects are written to flash. Two DRAM disciplines:
+//  * kLru        — DRAM is an LRU front cache (the setup for no-admission,
+//                  probabilistic, and Flashield schemes);
+//  * kSmallFifo  — the paper's S3-FIFO scheme: DRAM is the small FIFO queue
+//                  with a ghost queue of DRAM-evicted ids; a request for a
+//                  ghost id is written straight to flash (S->G->M path).
+//
+// Admitted objects route by size:
 //
 //   size <  small_object_threshold  ->  SetAssocStore (Kangaroo-style sets)
 //   size >= small_object_threshold  ->  SegmentLog (segment log + GC)
 //
-// so every run reports the metric the abstract simulator could not see:
-// device bytes written and write amplification, with GC rewrite bytes and
-// set-page writes broken out per component.
+// With no set store, log.ordering = kFifo and log.gc_readmit = false, the
+// flash tier is a pure segment-granularity FIFO: the eviction order
+// production flash caches use, with write amplification exactly 1 (the
+// Fig. 9 setup). Every run reports device bytes written and write
+// amplification, with GC rewrite bytes and set-page writes broken out per
+// component.
 //
 // Operation semantics (mirrored exactly by the naive oracle in src/check/):
-//   kGet    — hit in DRAM (LRU move under kLru) or flash; on a miss, the
-//             ghost path / DRAM insert / admission flow of FlashCacheSim.
+//   kGet    — hit in DRAM (LRU move under kLru) or flash; on a miss, a
+//             ghost hit is written straight to flash (kSmallFifo) and any
+//             other id is inserted into DRAM, whose evictions pass through
+//             admission.
 //   kSet    — insert-or-overwrite. A DRAM-resident object is re-inserted
 //             with the new size (fresh read/residency state); a
 //             flash-resident object is dead-marked and re-admitted with the
@@ -29,7 +39,6 @@
 #include <string>
 
 #include "src/flash/admission.h"
-#include "src/flash/flash_cache.h"
 #include "src/flash/segment_log.h"
 #include "src/flash/set_store.h"
 #include "src/trace/trace.h"
@@ -38,6 +47,8 @@
 #include "src/util/intrusive_list.h"
 
 namespace s3fifo {
+
+enum class DramDiscipline { kLru, kSmallFifo };
 
 struct LogFlashCacheConfig {
   uint64_t dram_capacity_bytes = 0;

@@ -1,9 +1,12 @@
 // Two-tier log-structured flash cache unit tests: tier routing, the ghost
-// S->G->M path, deletes, resize, config round-trip, and the combined
-// device-byte accounting.
+// S->G->M path, deletes, resize, config round-trip, the combined
+// device-byte accounting, and the Fig. 9 admission trade-offs on the pure
+// segment-FIFO log.
 #include "src/flash/log_flash_cache.h"
 
 #include <gtest/gtest.h>
+
+#include "src/workload/zipf_workload.h"
 
 namespace s3fifo {
 namespace {
@@ -35,6 +38,30 @@ LogFlashCacheConfig SmallConfig() {
   return config;
 }
 
+Trace CdnTrace(uint64_t seed) {
+  ZipfWorkloadConfig c;
+  c.num_objects = 2000;
+  c.num_requests = 40000;
+  c.alpha = 0.9;
+  c.new_object_fraction = 0.15;
+  c.size_sigma = 0.8;
+  c.size_mean_bytes = 8192;
+  c.seed = seed;
+  return GenerateZipfTrace(c);
+}
+
+// Fig. 9's flash tier at test scale: 512 KB of DRAM in front of an 8 MB
+// pure segment-FIFO log (no GC readmission, so WA == 1).
+LogFlashCacheConfig FifoConfig(DramDiscipline discipline) {
+  LogFlashCacheConfig config;
+  config.dram_capacity_bytes = 512 << 10;
+  config.dram_discipline = discipline;
+  config.log.segment_bytes = 256 << 10;
+  config.log.num_segments = 32;
+  config.log.gc_readmit = false;
+  return config;
+}
+
 TEST(LogFlashCacheTest, DramEvictionFlowsThroughAdmissionToLog) {
   LogFlashCacheConfig config = SmallConfig();
   auto cache = LogStructuredFlashCache(config, CreateAdmissionPolicy("s3fifo", 100, 1));
@@ -44,8 +71,64 @@ TEST(LogFlashCacheTest, DramEvictionFlowsThroughAdmissionToLog) {
   cache.Get(Get(3, 50));  // evicts 1 (1 read -> admitted to the log)
   EXPECT_TRUE(cache.log().Contains(1));
   EXPECT_TRUE(cache.Get(Get(1, 50)));  // flash hit
+  EXPECT_EQ(cache.stats().dram_hits, 1u);
   EXPECT_EQ(cache.stats().log_hits, 1u);
   EXPECT_EQ(cache.log_stats().admitted_bytes, 50u);
+}
+
+TEST(LogFlashCacheTest, ObjectLargerThanDramGoesThroughAdmission) {
+  LogFlashCacheConfig config = SmallConfig();
+  auto cache = LogStructuredFlashCache(config, CreateAdmissionPolicy("none", 100, 1));
+  EXPECT_FALSE(cache.Get(Get(9, 150)));  // larger than DRAM: admitted to the log
+  EXPECT_EQ(cache.dram_occupied(), 0u);
+  EXPECT_TRUE(cache.log().Contains(9));
+  EXPECT_TRUE(cache.Get(Get(9, 150)));
+  EXPECT_EQ(cache.stats().log_hits, 1u);
+}
+
+TEST(LogFlashCacheTest, AdmissionTradesWritesForMisses) {
+  // Fig. 9 on the pure segment-FIFO log: probabilistic admission cuts
+  // writes but raises the miss ratio; the s3fifo filter cuts writes versus
+  // no admission and misses less than probabilistic.
+  const Trace t = CdnTrace(2);
+  const auto run = [&](DramDiscipline discipline, std::unique_ptr<AdmissionPolicy> admission) {
+    LogStructuredFlashCache cache(FifoConfig(discipline), std::move(admission));
+    for (const Request& r : t.requests()) {
+      cache.Get(r);
+    }
+    EXPECT_EQ(cache.DeviceBytesWritten(), cache.AdmittedBytes());  // WA == 1
+    return std::make_pair(cache.stats().MissRatio(), cache.DeviceBytesWritten());
+  };
+  const auto [none_miss, none_bytes] = run(DramDiscipline::kLru, std::make_unique<AdmitAll>());
+  const auto [prob_miss, prob_bytes] =
+      run(DramDiscipline::kLru, std::make_unique<ProbabilisticAdmission>(0.2));
+  const auto [s3_miss, s3_bytes] =
+      run(DramDiscipline::kSmallFifo, std::make_unique<S3FifoAdmission>(1));
+  EXPECT_GT(none_bytes, 3 * prob_bytes);
+  EXPECT_LT(none_miss, prob_miss);
+  EXPECT_LT(s3_bytes, none_bytes);
+  EXPECT_LT(s3_miss, prob_miss);
+}
+
+TEST(LogFlashCacheTest, StatsAddUpAndTiersStayWithinCapacity) {
+  LogFlashCacheConfig config = FifoConfig(DramDiscipline::kLru);
+  config.small_object_threshold = 4096;
+  config.set_store.set_bytes = 4096;
+  config.set_store.num_sets = 256;
+  LogStructuredFlashCache cache(config, std::make_unique<AdmitAll>());
+  const Trace t = CdnTrace(5);
+  for (const Request& r : t.requests()) {
+    cache.Get(r);
+    ASSERT_LE(cache.dram_occupied(), config.dram_capacity_bytes);
+    ASSERT_LE(cache.log().segments_in_use(), config.log.num_segments);
+    ASSERT_LE(cache.log().live_bytes(), cache.log().capacity_bytes());
+    ASSERT_LE(cache.sets().live_bytes(), cache.sets().capacity_bytes());
+  }
+  const LogFlashCacheStats& s = cache.stats();
+  EXPECT_GT(s.log_hits, 0u);
+  EXPECT_GT(s.set_hits, 0u);
+  EXPECT_EQ(s.dram_hits + s.log_hits + s.set_hits + s.misses, s.requests);
+  EXPECT_GE(s.bytes_requested, s.bytes_missed);
 }
 
 TEST(LogFlashCacheTest, ColdEvictionsAreRejectedByS3FifoFilter) {
