@@ -6,7 +6,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/sweep.h"
-#include "bench/trace_source.h"
 #include "src/sim/metrics.h"
 #include "src/sim/multi_sim.h"
 #include "src/workload/scan_workload.h"
@@ -24,7 +23,6 @@ void Run(const BenchOptions& opts) {
   };
   std::vector<double> delta;  // mr(s3fifo-d) - mr(s3fifo); negative = adaptive wins
   int adaptive_wins = 0, static_wins = 0, ties = 0;
-  BenchTraceSource source(opts);
   const SweepSummary summary = RunMissRatioSweep(
       scale, variants, /*include_small=*/false,
       [&](const SweepCell& c) {
@@ -39,7 +37,7 @@ void Run(const BenchOptions& opts) {
           ++ties;
         }
       },
-      opts.threads, /*progress=*/true, source.cache(), ParseMrcMode(opts.mrc));
+      opts.threads, /*progress=*/true, ParseMrcMode(opts.mrc));
   std::printf("across traces (large cache): adaptive wins %d, static wins %d, ties %d\n",
               adaptive_wins, static_wins, ties);
   const PercentileRow delta_row = Percentiles(delta);
@@ -97,7 +95,6 @@ void Run(const BenchOptions& opts) {
                       .Add("metric", "adversarial_miss_ratio")
                       .Add("s3fifo", adv[0].MissRatio())
                       .Add("s3fifo_d", adv[1].MissRatio())});
-  source.WriteReport();
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/sweep.h"
-#include "bench/trace_source.h"
 #include "src/sim/metrics.h"
 
 namespace s3fifo {
@@ -26,7 +25,6 @@ void Run(const BenchOptions& opts) {
   };
   std::map<std::string, std::vector<double>> reductions;
 
-  BenchTraceSource source(opts);
   const SweepSummary summary = RunMissRatioSweep(
       scale, variants, /*include_small=*/false,
       [&](const SweepCell& c) {
@@ -36,7 +34,7 @@ void Run(const BenchOptions& opts) {
               MissRatioReduction(c.results[vi].MissRatio(), mr_fifo));
         }
       },
-      opts.threads, /*progress=*/true, source.cache(), ParseMrcMode(opts.mrc));
+      opts.threads, /*progress=*/true, ParseMrcMode(opts.mrc));
 
   std::vector<JsonFields> json_rows;
   for (const PolicyVariant& v : variants) {
@@ -59,7 +57,6 @@ void Run(const BenchOptions& opts) {
                      .Add("simulated_requests", summary.simulated_requests)
                      .Add("requests_per_sec", summary.requests_per_sec),
                  json_rows);
-  source.WriteReport();
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/sweep.h"
-#include "bench/trace_source.h"
 #include "src/sim/metrics.h"
 
 namespace s3fifo {
@@ -27,7 +26,6 @@ void Run(const BenchOptions& opts) {
   }
 
   std::map<std::string, std::vector<double>> red_large, red_small;
-  BenchTraceSource source(opts);
   const SweepSummary summary = RunMissRatioSweep(
       scale, variants, /*include_small=*/true,
       [&](const SweepCell& c) {
@@ -37,7 +35,7 @@ void Run(const BenchOptions& opts) {
               MissRatioReduction(c.results[vi].MissRatio(), mr_fifo));
         }
       },
-      opts.threads, /*progress=*/true, source.cache(), ParseMrcMode(opts.mrc));
+      opts.threads, /*progress=*/true, ParseMrcMode(opts.mrc));
 
   std::vector<JsonFields> json_rows;
   for (const bool large : {true, false}) {
@@ -65,7 +63,6 @@ void Run(const BenchOptions& opts) {
                      .Add("simulated_requests", summary.simulated_requests)
                      .Add("requests_per_sec", summary.requests_per_sec),
                  json_rows);
-  source.WriteReport();
 }
 
 }  // namespace

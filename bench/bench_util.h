@@ -40,9 +40,6 @@ inline double BenchScale() {
 
 struct BenchOptions {
   unsigned threads = 0;  // sweep parallelism; 0 = hardware concurrency
-  // Directory for the persistent mmap trace cache; empty = regenerate every
-  // run. Settable via --trace-cache-dir= or env S3FIFO_TRACE_CACHE_DIR.
-  std::string trace_cache_dir;
   // MRC computation mode for the miss-ratio sweeps: "onepass" (default;
   // FIFO-family policies use the exact one-pass engine) or "brute" (one
   // simulation per size — the escape hatch / reference path). Parsed by
@@ -50,31 +47,34 @@ struct BenchOptions {
   std::string mrc = "onepass";
 };
 
+[[noreturn]] inline void BenchUsage(const char* argv0, int status) {
+  std::fprintf(status == 0 ? stdout : stderr,
+               "usage: %s [--threads=N] [--mrc=MODE]\n"
+               "  --threads=N  sweep-engine worker threads (0 = hardware concurrency)\n"
+               "  --mrc=MODE   miss-ratio sweeps: onepass (default) | brute\n"
+               "  env S3FIFO_BENCH_SCALE=X scales trace lengths (default 1.0)\n",
+               argv0);
+  std::exit(status);
+}
+
+// Exits with status 2 and the usage text on any argument it does not know.
 inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions opts;
-  if (const char* env = std::getenv("S3FIFO_TRACE_CACHE_DIR")) {
-    opts.trace_cache_dir = env;
-  }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--threads=", 10) == 0) {
       opts.threads = static_cast<unsigned>(std::atoi(arg + 10));
-    } else if (std::strncmp(arg, "--trace-cache-dir=", 18) == 0) {
-      opts.trace_cache_dir = arg + 18;
     } else if (std::strncmp(arg, "--mrc=", 6) == 0) {
       opts.mrc = arg + 6;
+      if (opts.mrc != "onepass" && opts.mrc != "brute") {
+        std::fprintf(stderr, "error: --mrc must be onepass or brute, not '%s'\n", arg + 6);
+        BenchUsage(argv[0], 2);
+      }
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      std::printf(
-          "usage: %s [--threads=N] [--trace-cache-dir=DIR] [--mrc=MODE]\n"
-          "  --threads=N           sweep-engine worker threads (0 = hardware concurrency)\n"
-          "  --trace-cache-dir=DIR persist generated traces; later runs mmap them\n"
-          "                        (also env S3FIFO_TRACE_CACHE_DIR; empty = off)\n"
-          "  --mrc=MODE            miss-ratio sweeps: onepass (default) | brute\n"
-          "  env S3FIFO_BENCH_SCALE=X scales trace lengths (default 1.0)\n",
-          argv[0]);
-      std::exit(0);
+      BenchUsage(argv[0], 0);
     } else {
-      std::fprintf(stderr, "warning: ignoring unknown argument '%s'\n", arg);
+      std::fprintf(stderr, "error: unknown argument '%s'\n", arg);
+      BenchUsage(argv[0], 2);
     }
   }
   return opts;

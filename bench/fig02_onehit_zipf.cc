@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/trace_source.h"
 #include "src/analysis/one_hit_wonder.h"
 #include "src/workload/dataset_profiles.h"
 #include "src/workload/zipf_workload.h"
@@ -23,7 +22,7 @@ void PrintCurve(const char* label, const Trace& trace) {
   std::printf("\n");
 }
 
-void Run(const BenchOptions& opts) {
+void Run() {
   PrintHeader("Fig. 1 + Fig. 2: one-hit-wonder ratio vs sequence length",
               "Fig. 1 (toy), Fig. 2a-d");
 
@@ -48,32 +47,31 @@ void Run(const BenchOptions& opts) {
   std::printf("\n");
 
   const double scale = BenchScale();
-  BenchTraceSource source(opts);
   for (double alpha : {0.6, 0.8, 1.0, 1.2}) {
     ZipfWorkloadConfig c;
     c.num_objects = static_cast<uint64_t>(20000 * scale);
     c.num_requests = static_cast<uint64_t>(400000 * scale);
     c.alpha = alpha;
     c.seed = 42;
-    Trace t = source.ZipfTrace(c);
+    Trace t = GenerateZipfTrace(c);
     char label[32];
     std::snprintf(label, sizeof(label), "zipf a=%.1f", alpha);
     PrintCurve(label, t);
   }
   std::printf("\n");
-  PrintCurve("msr-like", source.DatasetTrace(DatasetByName("msr"), 0, scale));
-  PrintCurve("twitter-like", source.DatasetTrace(DatasetByName("twitter"), 0, scale));
+  PrintCurve("msr-like", GenerateDatasetTrace(DatasetByName("msr"), 0, scale));
+  PrintCurve("twitter-like", GenerateDatasetTrace(DatasetByName("twitter"), 0, scale));
 
   std::printf("\npaper shape: every curve decreases with sequence length; higher skew\n"
               "lies lower; twitter-like lies far below msr-like at every length\n"
               "(paper: 26%% vs 75%% at the 10%% sequence length).\n");
-  source.WriteReport();
 }
 
 }  // namespace
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
+  s3fifo::ParseBenchArgs(argc, argv);
+  s3fifo::Run();
   return 0;
 }

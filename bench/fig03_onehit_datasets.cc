@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/trace_source.h"
 #include "src/analysis/one_hit_wonder.h"
 #include "src/sim/metrics.h"
 #include "src/workload/dataset_profiles.h"
@@ -11,15 +10,14 @@
 namespace s3fifo {
 namespace {
 
-void Run(const BenchOptions& opts) {
+void Run() {
   PrintHeader("Fig. 3: one-hit-wonder ratio across all traces", "Fig. 3");
   const double scale = BenchScale() * 0.4;
-  BenchTraceSource source(opts);
 
   std::vector<double> at_full, at_50, at_10, at_1;
   for (const DatasetProfile& d : AllDatasetProfiles()) {
     for (uint32_t i = 0; i < d.num_traces; ++i) {
-      Trace t = source.DatasetTrace(d, i, scale);
+      Trace t = GenerateDatasetTrace(d, i, scale);
       at_full.push_back(t.Stats().one_hit_wonder_ratio);
       at_50.push_back(SubSequenceOneHitWonderRatio(t, 0.5, 8, 3));
       at_10.push_back(SubSequenceOneHitWonderRatio(t, 0.1, 8, 3));
@@ -33,13 +31,13 @@ void Run(const BenchOptions& opts) {
   std::printf("%s\n", FormatPercentileRow("1% objects", Percentiles(at_1)).c_str());
   std::printf("\npaper medians: full 0.26, 50%% 0.38, 10%% 0.72, 1%% 0.78 — the median\n"
               "must increase monotonically as the sequence shortens.\n");
-  source.WriteReport();
 }
 
 }  // namespace
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
+  s3fifo::ParseBenchArgs(argc, argv);
+  s3fifo::Run();
   return 0;
 }

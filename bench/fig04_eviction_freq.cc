@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/trace_source.h"
 #include "src/analysis/eviction_age.h"
 #include "src/core/cache_factory.h"
 #include "src/trace/next_access.h"
@@ -13,13 +12,12 @@
 namespace s3fifo {
 namespace {
 
-void Run(const BenchOptions& opts) {
+void Run() {
   PrintHeader("Fig. 4: frequency of objects at eviction", "Fig. 4");
   const double scale = BenchScale();
-  BenchTraceSource source(opts);
 
   for (const char* dataset : {"twitter", "msr"}) {
-    Trace t = source.DatasetTrace(DatasetByName(dataset), 0, scale);
+    Trace t = GenerateDatasetTrace(DatasetByName(dataset), 0, scale);
     AnnotateNextAccess(t);
     const uint64_t footprint = t.Stats().num_objects;
     for (double size_frac : {0.10, 0.01}) {
@@ -48,13 +46,13 @@ void Run(const BenchOptions& opts) {
   std::printf("\npaper shape: at the large size the twitter-like trace evicts ~25%%\n"
               "zero-reuse objects (both policies); the msr-like trace evicts far more\n"
               "(~82%% LRU / ~68%% Belady) — the freq=0 column dominates on msr.\n");
-  source.WriteReport();
 }
 
 }  // namespace
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
+  s3fifo::ParseBenchArgs(argc, argv);
+  s3fifo::Run();
   return 0;
 }

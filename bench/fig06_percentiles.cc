@@ -7,7 +7,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/sweep.h"
-#include "bench/trace_source.h"
 #include "src/sim/metrics.h"
 
 namespace s3fifo {
@@ -22,7 +21,6 @@ void Run(const BenchOptions& opts) {
   std::map<std::string, std::vector<double>> reductions_large, reductions_small;
   std::map<std::string, std::vector<double>> missratios_large, missratios_small;
 
-  BenchTraceSource source(opts);
   const SweepSummary summary = RunMissRatioSweep(
       scale, variants, /*include_small=*/true,
       [&](const SweepCell& c) {
@@ -35,7 +33,7 @@ void Run(const BenchOptions& opts) {
           (c.large ? missratios_large : missratios_small)[variants[vi].label].push_back(mr);
         }
       },
-      opts.threads, /*progress=*/true, source.cache(), ParseMrcMode(opts.mrc));
+      opts.threads, /*progress=*/true, ParseMrcMode(opts.mrc));
 
   std::vector<JsonFields> json_rows;
   for (const bool large : {true, false}) {
@@ -76,7 +74,6 @@ void Run(const BenchOptions& opts) {
                      .Add("simulated_requests", summary.simulated_requests)
                      .Add("requests_per_sec", summary.requests_per_sec),
                  json_rows);
-  source.WriteReport();
 }
 
 }  // namespace

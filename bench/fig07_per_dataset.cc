@@ -8,7 +8,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/sweep.h"
-#include "bench/trace_source.h"
 #include "src/sim/metrics.h"
 
 namespace s3fifo {
@@ -28,7 +27,6 @@ void Run(const BenchOptions& opts) {
   // sums[large][policy][dataset] = (sum, count)
   std::map<std::string, std::map<std::string, std::pair<double, int>>> sum_large, sum_small;
 
-  BenchTraceSource source(opts);
   const SweepSummary summary = RunMissRatioSweep(
       scale, variants, /*include_small=*/true,
       [&](const SweepCell& c) {
@@ -40,7 +38,7 @@ void Run(const BenchOptions& opts) {
           cell.second += 1;
         }
       },
-      opts.threads, /*progress=*/true, source.cache(), ParseMrcMode(opts.mrc));
+      opts.threads, /*progress=*/true, ParseMrcMode(opts.mrc));
 
   std::vector<JsonFields> json_rows;
   for (const bool large : {true, false}) {
@@ -95,7 +93,6 @@ void Run(const BenchOptions& opts) {
                      .Add("simulated_requests", summary.simulated_requests)
                      .Add("requests_per_sec", summary.requests_per_sec),
                  json_rows);
-  source.WriteReport();
 }
 
 }  // namespace

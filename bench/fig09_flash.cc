@@ -15,7 +15,6 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "bench/trace_source.h"
 #include "src/flash/log_flash_cache.h"
 #include "src/workload/dataset_profiles.h"
 
@@ -25,11 +24,10 @@ namespace {
 constexpr const char* kSchemes[] = {"none", "probabilistic", "flashield", "s3fifo"};
 constexpr int kNumSchemes = 4;
 
-bool Run(const BenchOptions& opts) {
+bool Run() {
   PrintHeader("Fig. 9: flash write bytes and miss ratio by admission policy",
               "Fig. 9 (left: wiki-like, right: tencent-photo-like)");
   const double scale = BenchScale();
-  BenchTraceSource source(opts);
   bool shape_ok = true;
 
   for (const char* dataset : {"wiki", "tencent_photo"}) {
@@ -43,7 +41,7 @@ bool Run(const BenchOptions& opts) {
     wc.size_mean_bytes = 4096;
     wc.size_sigma = 0.6;
     wc.seed = 11;
-    Trace t = source.ZipfTrace(wc);
+    Trace t = GenerateZipfTrace(wc);
     const uint64_t footprint_bytes = t.Stats().footprint_bytes;
     const uint64_t flash_bytes = footprint_bytes / 10;  // 10% of footprint (paper)
     std::printf("\n--- %s-like trace: %lu requests, footprint %.1f MB, flash %.1f MB ---\n",
@@ -111,7 +109,6 @@ bool Run(const BenchOptions& opts) {
               "DRAM shrinks; the s3fifo filter gets BOTH fewer writes and the lowest\n"
               "miss ratio even at 0.1%% DRAM.\n");
   std::printf("shape check: %s\n", shape_ok ? "PASS" : "FAIL");
-  source.WriteReport();
   return shape_ok;
 }
 
@@ -119,5 +116,6 @@ bool Run(const BenchOptions& opts) {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  return s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv)) ? 0 : 1;
+  s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::Run() ? 0 : 1;
 }

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/trace_source.h"
 #include "src/analysis/demotion.h"
 #include "src/core/cache_factory.h"
 #include "src/flash/log_flash_cache.h"
@@ -18,13 +17,12 @@ namespace {
 
 const double kQueueSizes[] = {0.40, 0.30, 0.20, 0.10, 0.05, 0.02, 0.01};
 
-void Run(const BenchOptions& opts) {
+void Run() {
   PrintHeader("Fig. 10 + Table 2: quick-demotion speed and precision", "Fig. 10a-d, Table 2");
   const double scale = BenchScale();
-  BenchTraceSource source(opts);
 
   for (const char* dataset : {"twitter", "msr"}) {
-    Trace t = source.DatasetTrace(DatasetByName(dataset), 0, scale);
+    Trace t = GenerateDatasetTrace(DatasetByName(dataset), 0, scale);
     AnnotateNextAccess(t);
     const uint64_t footprint = t.Stats().num_objects;
     for (const double size_frac : {0.10, 0.01}) {
@@ -76,7 +74,7 @@ void Run(const BenchOptions& opts) {
     wc.size_mean_bytes = 4096;
     wc.size_sigma = 0.6;
     wc.seed = 11;
-    const Trace t = source.ZipfTrace(wc);
+    const Trace t = GenerateZipfTrace(wc);
     const uint64_t footprint_bytes = t.Stats().footprint_bytes;
     const uint64_t flash_bytes = footprint_bytes / 10;
     const uint64_t segment_bytes = 256 * 1024;
@@ -105,13 +103,13 @@ void Run(const BenchOptions& opts) {
               "demotion speed for both tinylfu and s3fifo; s3fifo's precision rises to\n"
               "a peak then falls as S grows; at matched speed s3fifo's precision is at\n"
               "or above tinylfu's, and higher precision tracks lower miss ratios.\n");
-  source.WriteReport();
 }
 
 }  // namespace
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
+  s3fifo::ParseBenchArgs(argc, argv);
+  s3fifo::Run();
   return 0;
 }

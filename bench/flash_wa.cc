@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/trace_source.h"
 #include "src/flash/log_flash_cache.h"
 #include "src/workload/dataset_profiles.h"
 
@@ -27,11 +26,10 @@ struct Backend {
   bool sets;  // carve 1/8 of flash into a set-associative small-object store
 };
 
-void Run(const BenchOptions& opts) {
+void Run() {
   PrintHeader("Flash WA: device bytes and write amplification by admission policy",
               "Fig. 9 WA axis (log-structured backend; RIPQ FAST'15, Kangaroo SOSP'21)");
   const double scale = BenchScale();
-  BenchTraceSource source(opts);
   const uint64_t segment_bytes = 256 * 1024;
 
   std::vector<JsonFields> rows;
@@ -54,7 +52,7 @@ void Run(const BenchOptions& opts) {
     wc.size_mean_bytes = 4096;
     wc.size_sigma = 0.6;
     wc.seed = 11;
-    Trace t = source.ZipfTrace(wc);
+    Trace t = GenerateZipfTrace(wc);
     const uint64_t footprint_bytes = t.Stats().footprint_bytes;
     const uint64_t flash_bytes = footprint_bytes / 10;
     const uint64_t dram_bytes = std::max<uint64_t>(flash_bytes / 100, 16 << 10);
@@ -134,13 +132,13 @@ void Run(const BenchOptions& opts) {
       .Add("segment_bytes", segment_bytes)
       .Add("elapsed_ms", total.ElapsedMs());
   WriteBenchJson("flash", summary, rows);
-  source.WriteReport();
 }
 
 }  // namespace
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
+  s3fifo::ParseBenchArgs(argc, argv);
+  s3fifo::Run();
   return 0;
 }

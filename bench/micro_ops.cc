@@ -309,9 +309,9 @@ void BM_AccessBatch(benchmark::State& state, const std::string& policy, bool bat
     } else {
       for (uint64_t i = begin; i < end; ++i) {
         if (i + kPrefetchDistance < end) {
-          cache->Prefetch(view.id(i + kPrefetchDistance));
+          cache->Prefetch((*trace)[i + kPrefetchDistance].id);
         }
-        hits[i - begin] = cache->Get(view.At(i)) ? 1 : 0;
+        hits[i - begin] = cache->Get((*trace)[i]) ? 1 : 0;
       }
     }
     benchmark::DoNotOptimize(hits.data());

@@ -17,7 +17,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/sweep.h"
-#include "bench/trace_source.h"
 #include "src/analysis/mrc.h"
 #include "src/analysis/mrc_engine.h"
 #include "src/analysis/shards.h"
@@ -58,7 +57,7 @@ bool SameCounts(const SimResult& a, const SimResult& b) {
 }
 
 // Returns false when an exact row's counts differ from brute force.
-bool Run(const BenchOptions& opts) {
+bool Run() {
   PrintHeader("One-pass MRC engine: speedup and exactness vs brute force",
               "engine acceptance report (not a paper figure)");
   const double scale = BenchScale();
@@ -74,9 +73,8 @@ bool Run(const BenchOptions& opts) {
     zc.seed = 42;
     traces.push_back({"zipf1.0", GenerateZipfTrace(zc)});
   }
-  BenchTraceSource source(opts);
   for (const char* name : {"cdn1", "msr"}) {
-    traces.push_back({name, source.DatasetTrace(DatasetByName(name), 0, scale * 0.25)});
+    traces.push_back({name, GenerateDatasetTrace(DatasetByName(name), 0, scale * 0.25)});
   }
 
   const std::vector<std::string> policies = {"fifo", "clock", "sieve", "s3fifo", "s3fifo-d"};
@@ -201,7 +199,6 @@ bool Run(const BenchOptions& opts) {
                      .Add("max_speedup", max_speedup)
                      .Add("max_abs_err", max_abs_err_overall),
                  json_rows);
-  source.WriteReport();
   return counts_match;
 }
 
@@ -209,5 +206,6 @@ bool Run(const BenchOptions& opts) {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  return s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv)) ? 0 : 1;
+  s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::Run() ? 0 : 1;
 }

@@ -7,7 +7,6 @@
 #include <map>
 
 #include "bench/bench_util.h"
-#include "bench/trace_source.h"
 #include "bench/sweep.h"
 #include "src/core/cache_factory.h"
 #include "src/sim/metrics.h"
@@ -16,17 +15,16 @@
 namespace s3fifo {
 namespace {
 
-void Run(const BenchOptions& opts) {
+void Run() {
   PrintHeader("§5.2.3: byte miss ratio across traces", "§5.2.3 (text; figure omitted in paper)");
   const double scale = BenchScale() * 0.25;
-  BenchTraceSource source(opts);
 
   const std::vector<std::string> policies = {"s3fifo", "tinylfu", "lirs", "2q",
                                              "arc",    "lru",     "lrb-lite"};
   std::map<std::string, std::vector<double>> red_large, red_small;
 
   ForEachSweepCase(scale, [&](const SweepCase& c) {
-    const uint64_t footprint_bytes = c.trace.stats().footprint_bytes;
+    const uint64_t footprint_bytes = c.trace.Stats().footprint_bytes;
     for (const bool large : {true, false}) {
       CacheConfig config;
       config.capacity = std::max<uint64_t>(footprint_bytes / (large ? 10 : 100), 4096);
@@ -39,7 +37,7 @@ void Run(const BenchOptions& opts) {
             MissRatioReduction(Simulate(c.trace, *cache).ByteMissRatio(), mr_fifo));
       }
     }
-  }, /*progress=*/true, source.cache());
+  });
 
   for (const bool large : {true, false}) {
     std::printf("\n--- %s cache (%s of footprint bytes) ---\n", large ? "large" : "small",
@@ -54,13 +52,13 @@ void Run(const BenchOptions& opts) {
               "s3fifo presents larger reductions at almost all percentiles; s3fifo and\n"
               "the learned lrb-lite baseline have similar efficiency despite s3fifo\n"
               "being far simpler.\n");
-  source.WriteReport();
 }
 
 }  // namespace
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
+  s3fifo::ParseBenchArgs(argc, argv);
+  s3fifo::Run();
   return 0;
 }

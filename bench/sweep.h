@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,7 +40,7 @@ namespace s3fifo {
 struct SweepCase {
   const DatasetProfile* dataset;
   uint32_t trace_index;
-  TraceView trace;  // heap-backed, or mmap'd when a TraceCache is supplied
+  Trace trace;
   uint64_t large_capacity;  // 10% of footprint
   uint64_t small_capacity;  // 1% of footprint
 };
@@ -48,25 +49,12 @@ inline uint64_t SweepCapacity(uint64_t footprint, bool large) {
   return std::max<uint64_t>(large ? footprint / 10 : footprint / 100, 10);
 }
 
-// Generates (or, given a cache, maps) one dataset trace instance as a view.
-inline TraceView SweepTraceView(const DatasetProfile& d, uint32_t trace_index, double scale,
-                                TraceCache* trace_cache) {
-  if (trace_cache != nullptr) {
-    return trace_cache->GetOrGenerate(
-        DatasetTraceSpec(d, trace_index, scale),
-        [&] { return GenerateDatasetTrace(d, trace_index, scale); });
-  }
-  auto trace = std::make_shared<Trace>(GenerateDatasetTrace(d, trace_index, scale));
-  trace->Stats();  // pre-warm so later stats() calls are pure reads
-  return TraceView::FromTrace(std::move(trace));
-}
-
 inline void ForEachSweepCase(double scale, const std::function<void(const SweepCase&)>& fn,
-                             bool progress = true, TraceCache* trace_cache = nullptr) {
+                             bool progress = true) {
   for (const DatasetProfile& d : AllDatasetProfiles()) {
     for (uint32_t i = 0; i < d.num_traces; ++i) {
-      SweepCase c{&d, i, SweepTraceView(d, i, scale, trace_cache), 0, 0};
-      const uint64_t footprint = c.trace.stats().num_objects;
+      SweepCase c{&d, i, GenerateDatasetTrace(d, i, scale), 0, 0};
+      const uint64_t footprint = c.trace.Stats().num_objects;
       c.large_capacity = SweepCapacity(footprint, true);
       c.small_capacity = SweepCapacity(footprint, false);
       fn(c);
@@ -121,12 +109,15 @@ struct SweepSummary {
 // policy takes the per-size path. The two modes produce bit-identical cells
 // — the one-pass engine is exact (tools/check_mrc_smoke.py asserts this on
 // fig06 in CI) — so kBrute is purely the escape hatch / reference timing.
+// kShards is approximate and throws std::invalid_argument.
 inline SweepSummary RunMissRatioSweep(double scale, const std::vector<PolicyVariant>& variants,
                                       bool include_small,
                                       const std::function<void(const SweepCell&)>& collect,
                                       unsigned threads = 0, bool progress = true,
-                                      TraceCache* trace_cache = nullptr,
                                       MrcMode mrc_mode = MrcMode::kAuto) {
+  if (mrc_mode == MrcMode::kShards) {
+    throw std::invalid_argument("RunMissRatioSweep: the sweep has no SHARDS mode");
+  }
   const bool use_onepass = mrc_mode != MrcMode::kBrute;
   const std::vector<bool> size_flags =
       include_small ? std::vector<bool>{true, false} : std::vector<bool>{true};
@@ -167,7 +158,9 @@ inline SweepSummary RunMissRatioSweep(double scale, const std::vector<PolicyVari
 
   for (const DatasetProfile& d : AllDatasetProfiles()) {
     for (uint32_t i = 0; i < d.num_traces; ++i) {
-      SharedTracePtr shared = SweepEngine::MakeSharedDatasetTrace(d, i, scale, trace_cache);
+      // `d` lives in the static profile list, so the generator may hold it.
+      SharedTracePtr shared = SweepEngine::MakeSharedTrace(
+          [&d, i, scale] { return GenerateDatasetTrace(d, i, scale); });
       const size_t base_cell = cells.size();
       for (const bool large : size_flags) {
         CellMeta meta{&d, i, large, {}, {}};

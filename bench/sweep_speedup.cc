@@ -13,7 +13,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/sweep.h"
-#include "bench/trace_source.h"
 #include "src/sim/simulator.h"
 
 namespace s3fifo {
@@ -63,7 +62,6 @@ void Run(const BenchOptions& opts) {
   // --- Sweep engine: shared traces, single pass, threaded fan-out. ---
   std::printf("[2/2] sweep engine...\n");
   CellMap engine;
-  BenchTraceSource source(opts);
   const SweepSummary summary = RunMissRatioSweep(
       scale, variants, /*include_small=*/true,
       [&](const SweepCell& c) {
@@ -72,7 +70,7 @@ void Run(const BenchOptions& opts) {
           engine[{c.dataset->name, c.trace_index, c.large, vi + 1}] = c.results[vi];
         }
       },
-      opts.threads, /*progress=*/true, source.cache());
+      opts.threads);
 
   // --- Equivalence: every cell bit-identical. ---
   size_t mismatches = 0;
@@ -110,7 +108,6 @@ void Run(const BenchOptions& opts) {
                      .Add("simulated_requests", summary.simulated_requests)
                      .Add("identical_output", identical),
                  {});
-  source.WriteReport();
 }
 
 }  // namespace

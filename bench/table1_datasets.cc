@@ -3,18 +3,16 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/trace_source.h"
 #include "src/analysis/one_hit_wonder.h"
 #include "src/workload/dataset_profiles.h"
 
 namespace s3fifo {
 namespace {
 
-void Run(const BenchOptions& opts) {
+void Run() {
   PrintHeader("Table 1: synthetic dataset inventory",
               "Table 1 (one-hit-wonder columns: full / 10% / 1%)");
   const double scale = BenchScale() * 0.5;
-  BenchTraceSource source(opts);
   std::printf("%-14s %-7s %7s %10s %10s %7s %7s | %6s %6s %6s\n", "dataset", "type", "traces",
               "requests", "objects", "write%", "del%", "ohw", "ohw10", "ohw1");
   for (const DatasetProfile& d : AllDatasetProfiles()) {
@@ -22,7 +20,7 @@ void Run(const BenchOptions& opts) {
     double ohw_full = 0, ohw_10 = 0, ohw_1 = 0;
     const uint32_t traces = std::max<uint32_t>(1, d.num_traces / 2);
     for (uint32_t i = 0; i < traces; ++i) {
-      Trace t = source.DatasetTrace(d, i, scale);
+      Trace t = GenerateDatasetTrace(d, i, scale);
       const TraceStats& s = t.Stats();
       requests += s.num_requests;
       objects += s.num_objects;
@@ -41,13 +39,13 @@ void Run(const BenchOptions& opts) {
   std::printf("\npaper (Table 1): one-hit-wonder rises sharply from the full trace to the\n"
               "10%% and 1%% sub-sequence columns for every dataset; KV datasets (twitter,\n"
               "socialnet) have the lowest ratios, CDN/object datasets the highest.\n");
-  source.WriteReport();
 }
 
 }  // namespace
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
+  s3fifo::ParseBenchArgs(argc, argv);
+  s3fifo::Run();
   return 0;
 }

@@ -93,14 +93,15 @@ struct DenseIds {
 DenseIds InternTrace(const TraceView& view) {
   DenseIds d;
   const uint64_t n = view.size();
+  const Request* reqs = view.AsRequests();
   d.oi.resize(n);
   FlatMap<uint32_t> index;
   for (uint64_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n) {
-      index.Prefetch(view.id(i + kPrefetchDistance));
+      index.Prefetch(reqs[i + kPrefetchDistance].id);
     }
     bool inserted = false;
-    uint32_t* slot = index.Emplace(view.id(i), &inserted);
+    uint32_t* slot = index.Emplace(reqs[i].id, &inserted);
     if (inserted) {
       *slot = d.num_objects++;
     }
@@ -843,20 +844,21 @@ std::vector<SimResult> DrivePass(const TraceView& view, const uint32_t* dense, E
   uint64_t bytes_requested = 0;
   const uint64_t grid_mask = engine.core().grid_mask();
   const uint64_t n = view.size();
+  const Request* reqs = view.AsRequests();
   for (uint64_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n) {
       engine.PrefetchWords(dense[i + kPrefetchDistance]);
     }
     const uint32_t oi = dense[i];
     const uint64_t mask = engine.ResidentMask(oi);
-    if (view.op(i) == OpType::kDelete) {
+    if (reqs[i].op == OpType::kDelete) {
       if (mask != 0) {
         engine.OnDelete(oi, mask);
       }
       continue;
     }
     const bool measure = i >= warmup_requests;
-    const uint32_t size = view.object_size(i);
+    const uint32_t size = reqs[i].size;
     if (measure) {
       ++measured;
       bytes_requested += size;

@@ -92,17 +92,16 @@ MrcCurve ShardsMrc(const TraceView& view, const std::string& policy,
   uint64_t total_measured = 0;
   uint64_t sampled_measured = 0;
   const uint64_t n = view.size();
+  const Request* reqs = view.AsRequests();
   for (uint64_t i = 0; i < n; ++i) {
-    const uint64_t id = view.id(i);
-    const bool is_delete = view.op(i) == OpType::kDelete;
-    const bool measure = i >= warmup_requests && !is_delete;
+    const Request& req = reqs[i];
+    const bool measure = i >= warmup_requests && req.op != OpType::kDelete;
     if (measure) {
       ++total_measured;
     }
-    if (!Sampled(id, salt, threshold)) {
+    if (!Sampled(req.id, salt, threshold)) {
       continue;
     }
-    const Request req = view.At(i);
     if (measure) {
       ++sampled_measured;
     }

@@ -25,13 +25,12 @@ void Cache::GetBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_
 }
 
 void Cache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
-  const Request* aos = view.AsRequests();
+  const Request* reqs = view.AsRequests();
   for (uint64_t i = begin; i < end; ++i) {
     if (i + kPrefetchDistance < end) {
-      Prefetch(view.id(i + kPrefetchDistance));
+      Prefetch(reqs[i + kPrefetchDistance].id);
     }
-    const Request req = aos != nullptr ? aos[i] : view.At(i);
-    hits[i - begin] = Get(req) ? 1 : 0;
+    hits[i - begin] = Get(reqs[i]) ? 1 : 0;
   }
 }
 

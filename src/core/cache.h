@@ -118,24 +118,20 @@ class Cache {
   // Shared body for specialized AccessBatch overrides: the same per-request
   // pipeline as the default, but with Derived's Prefetch/Remove/Access
   // statically bound (the qualified calls devirtualize, so Access inlines
-  // into the block loop) and only the three request fields the policies
-  // consume materialized from the view — no per-request virtual dispatch,
-  // no six-field gather on mmap backings. A Derived whose subclass
-  // overrides Access/Remove/Prefetch must give that subclass its own
-  // AccessBatch (the qualified calls bypass further overrides; virtual
-  // hooks *inside* Access still dispatch normally).
+  // into the block loop) — no per-request virtual dispatch. A Derived
+  // whose subclass overrides Access/Remove/Prefetch must give that subclass
+  // its own AccessBatch (the qualified calls bypass further overrides;
+  // virtual hooks *inside* Access still dispatch normally).
   template <typename Derived>
   void BatchLoop(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) {
     Derived* self = static_cast<Derived*>(this);
+    const Request* reqs = view.AsRequests();
     for (uint64_t i = begin; i < end; ++i) {
       if (i + kPrefetchDistance < end) {
-        self->Derived::Prefetch(view.id(i + kPrefetchDistance));
+        self->Derived::Prefetch(reqs[i + kPrefetchDistance].id);
       }
       TickClock();
-      Request req;
-      req.id = view.id(i);
-      req.size = view.object_size(i);
-      req.op = view.op(i);
+      const Request& req = reqs[i];
       if (req.op == OpType::kDelete) {
         self->Derived::Remove(req.id);
         hits[i - begin] = 0;

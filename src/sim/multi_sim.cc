@@ -23,17 +23,18 @@ static_assert(kBlockRequests % kBatchRequests == 0);
 
 // One (cache, block) inner loop: slices of the block go through
 // Cache::GetBatch — the policy's devirtualized block loop — and the metrics
-// are accounted from the hit bitmap plus the view's op/size columns.
+// are accounted from the hit bitmap plus the requests' ops and sizes.
 void RunBlock(const TraceView& view, Cache* cache, SimResult& r, uint64_t begin, uint64_t end,
               const SimOptions& options, uint8_t* hits) {
+  const Request* reqs = view.AsRequests();
   for (uint64_t b = begin; b < end; b += kBatchRequests) {
     const uint64_t e = std::min<uint64_t>(b + kBatchRequests, end);
     cache->GetBatch(view, b, e, hits);
     for (uint64_t i = b; i < e; ++i) {
-      if (i < options.warmup_requests || view.op(i) == OpType::kDelete) {
+      if (i < options.warmup_requests || reqs[i].op == OpType::kDelete) {
         continue;
       }
-      const uint64_t size = view.object_size(i);
+      const uint64_t size = reqs[i].size;
       ++r.requests;
       r.bytes_requested += size;
       if (hits[i - b] != 0) {

@@ -4,11 +4,9 @@
 // (CIPARSim, DEW) applied to the whole policy-comparison harness: the trace
 // is the expensive shared input, so every consumer rides the same scan.
 //
-// The canonical input is a TraceView, so the same loop runs over a heap
-// Trace or an mmap'd trace-cache file with no deserialization. Within each
-// block the requests go through Cache::GetBatch, which prefetches the hash
-// probe slot kPrefetchDistance requests ahead — a hint only, results
-// unchanged. Simulate is this loop with one cache.
+// Within each block the requests go through Cache::GetBatch, which
+// prefetches the hash probe slot kPrefetchDistance requests ahead — a hint
+// only, results unchanged. Simulate is this loop with one cache.
 #ifndef SRC_SIM_MULTI_SIM_H_
 #define SRC_SIM_MULTI_SIM_H_
 

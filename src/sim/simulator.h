@@ -1,12 +1,10 @@
 // Trace-driven simulation: runs a trace through a cache and collects miss
 // metrics (request and byte miss ratio, with optional warmup exclusion).
 //
-// The canonical input is a TraceView — zero-copy over either a heap Trace or
-// an mmap'd trace-cache file. Simulate is the one-cache case of
-// MultiSimulate (src/sim/multi_sim.h), so both run the same loop: slices of
-// the trace go through Cache::GetBatch, the policy's prefetch-batched block
-// loop, whose results are bit-identical to calling Cache::Get once per
-// request on any backing.
+// Simulate is the one-cache case of MultiSimulate (src/sim/multi_sim.h), so
+// both run the same loop: slices of the trace go through Cache::GetBatch,
+// the policy's prefetch-batched block loop, whose results are bit-identical
+// to calling Cache::Get once per request.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 

@@ -5,7 +5,9 @@ namespace s3fifo {
 TraceView SharedTrace::Acquire() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!view_.has_value()) {
-    view_ = make_view_();
+    auto trace = std::make_shared<Trace>(generate_());
+    trace->Stats();
+    view_ = TraceView::FromTrace(std::move(trace));
   }
   return *view_;
 }
@@ -20,31 +22,6 @@ void SharedTrace::ReleaseUser() {
   if (--pending_users_ <= 0) {
     view_.reset();
   }
-}
-
-SharedTracePtr SweepEngine::MakeSharedTrace(std::function<Trace()> generate) {
-  return MakeSharedView([generate = std::move(generate)] {
-    auto trace = std::make_shared<Trace>(generate());
-    // Warm the stats cache while we still have exclusive access; afterwards
-    // concurrent stats() calls are pure reads.
-    trace->Stats();
-    return TraceView::FromTrace(std::move(trace));
-  });
-}
-
-SharedTracePtr SweepEngine::MakeSharedDatasetTrace(const DatasetProfile& profile,
-                                                   uint32_t trace_index, double scale,
-                                                   TraceCache* trace_cache) {
-  if (trace_cache == nullptr) {
-    // Copy the profile: the generator outlives the caller's reference.
-    return MakeSharedTrace(
-        [profile, trace_index, scale] { return GenerateDatasetTrace(profile, trace_index, scale); });
-  }
-  return MakeSharedView([profile, trace_index, scale, trace_cache] {
-    return trace_cache->GetOrGenerate(
-        DatasetTraceSpec(profile, trace_index, scale),
-        [&] { return GenerateDatasetTrace(profile, trace_index, scale); });
-  });
 }
 
 std::vector<SweepUnitResult> SweepEngine::Run(const std::vector<SweepUnit>& units) {

@@ -1,22 +1,17 @@
 // The sweep engine: fans dataset × trace simulation units out over the
 // fault-tolerant RunTasks thread pool, streaming each trace ONCE through all
-// of its unit's caches (MultiSimulate) and materializing each shared trace
+// of its unit's caches (MultiSimulate) and generating each shared trace
 // ONCE no matter how many units consume it.
-//
-// Traces flow through the engine as TraceViews: a SharedTrace produces a
-// view lazily on the first worker that needs it — generated on the heap, or
-// mmap'd straight out of a persistent TraceCache, in which case the trace is
-// never deserialized into AoS Request records at all.
 //
 // Determinism: every unit is an independent (trace, caches) simulation whose
 // result depends only on its inputs, and results are collected index-aligned
 // with the unit list — so the output is identical for any thread count,
-// including the sequential num_threads=1 case, and for any trace backing.
+// including the sequential num_threads=1 case.
 //
-// Memory: a SharedTrace materializes its view lazily on the first worker
-// that needs it and drops it as soon as the last unit registered against it
+// Memory: a SharedTrace generates its trace lazily on the first worker that
+// needs it and drops it as soon as the last unit registered against it
 // completes, so peak memory is bounded by the traces in flight, not the
-// whole sweep (mmap-backed views additionally release their file mapping).
+// whole sweep.
 #ifndef SRC_SIM_SWEEP_ENGINE_H_
 #define SRC_SIM_SWEEP_ENGINE_H_
 
@@ -30,21 +25,17 @@
 
 #include "src/sim/multi_sim.h"
 #include "src/sim/runner.h"
-#include "src/trace/trace_cache.h"
-#include "src/workload/dataset_profiles.h"
 
 namespace s3fifo {
 
-// A lazily materialized, shareable trace view. Acquire() runs the factory on
+// A lazily generated, shareable trace. Acquire() runs the generator on
 // first call (thread-safe; concurrent acquirers block on the same
-// materialization) and hands out copies of one TraceView — copies share the
-// backing storage (heap Trace or file mapping). Heap-backed factories
-// pre-compute Trace::Stats() before publishing, so concurrent stats() reads
+// generation) and hands out views that share the one heap Trace. Its stats
+// are computed before the trace is published, so concurrent stats() reads
 // never race on the stats cache.
 class SharedTrace {
  public:
-  explicit SharedTrace(std::function<TraceView()> make_view)
-      : make_view_(std::move(make_view)) {}
+  explicit SharedTrace(std::function<Trace()> generate) : generate_(std::move(generate)) {}
 
   TraceView Acquire();
 
@@ -53,13 +44,13 @@ class SharedTrace {
 
   // Engine bookkeeping: one more / one less unit will Acquire this trace.
   // When the pending count returns to zero the cached view is released
-  // (workers still holding a view copy keep the backing alive until they
+  // (workers still holding a view copy keep the trace alive until they
   // finish).
   void AddUser();
   void ReleaseUser();
 
   std::mutex mu_;
-  std::function<TraceView()> make_view_;
+  std::function<Trace()> generate_;
   std::optional<TraceView> view_;
   int pending_users_ = 0;
 };
@@ -67,7 +58,7 @@ class SharedTrace {
 using SharedTracePtr = std::shared_ptr<SharedTrace>;
 
 // One unit of sweep work: a trace streamed once through a set of caches.
-// make_caches runs on the worker with the materialized view, so cache
+// make_caches runs on the worker with the trace's view, so cache
 // capacities can be derived from trace statistics (footprint fractions).
 //
 // Alternatively a unit may supply `run`, an arbitrary view -> results
@@ -95,17 +86,10 @@ class SweepEngine {
  public:
   explicit SweepEngine(const RunnerOptions& options = {}) : options_(options) {}
 
-  // Any TraceView factory (the general form; the helpers below wrap it).
-  static SharedTracePtr MakeSharedView(std::function<TraceView()> make_view) {
-    return std::make_shared<SharedTrace>(std::move(make_view));
+  // A trace generated on the heap by the first unit that needs it.
+  static SharedTracePtr MakeSharedTrace(std::function<Trace()> generate) {
+    return std::make_shared<SharedTrace>(std::move(generate));
   }
-  // Heap-generated trace (stats pre-warmed before publication).
-  static SharedTracePtr MakeSharedTrace(std::function<Trace()> generate);
-  // Dataset trace; with a TraceCache the view is served mmap'd from disk
-  // after the first-ever generation, across runs and processes.
-  static SharedTracePtr MakeSharedDatasetTrace(const DatasetProfile& profile,
-                                               uint32_t trace_index, double scale,
-                                               TraceCache* trace_cache = nullptr);
 
   // Runs every unit; the result vector is index-aligned with `units`.
   std::vector<SweepUnitResult> Run(const std::vector<SweepUnit>& units);

@@ -1,12 +1,10 @@
 // On-disk layout of the v2 binary trace format, shared by the stream
-// reader/writer (trace_io) and the mmap loader (trace_cache).
+// reader and writer (trace_io).
 //
-// v2 is columnar (SoA): after a fixed header and the trace name, each request
-// field is stored as one contiguous array, so an mmap'd file can be consumed
-// in place by TraceView without materializing AoS Request records. Every
-// column starts at an 8-byte-aligned offset and is padded to a multiple of 8
-// with zero bytes, which keeps u64/u32 loads aligned (mmap bases are
-// page-aligned) and makes files byte-deterministic for a given trace.
+// v2 is columnar: after a fixed header and the trace name, each request
+// field is stored as one contiguous array. Every column starts at an
+// 8-byte-aligned offset and is padded to a multiple of 8 with zero bytes,
+// which makes files byte-deterministic for a given trace.
 //
 //   header (96 bytes, little-endian, no implicit padding)
 //   name bytes               (name_len, zero-padded to 8)
@@ -18,8 +16,7 @@
 //   op        u8  × n        (zero-padded to 8)
 //
 // v1 (AoS 24-byte records, no tenant/next_access) remains readable through
-// ReadBinaryTrace; it cannot be mmap'd because its u64 fields land on
-// unaligned offsets.
+// ReadBinaryTrace.
 #ifndef SRC_TRACE_TRACE_FORMAT_H_
 #define SRC_TRACE_TRACE_FORMAT_H_
 
@@ -43,10 +40,9 @@ struct TraceFileHeaderV2 {
   uint64_t num_requests;
   uint64_t flags;
   // Trace::Fingerprint() of the payload — the order-sensitive digest over
-  // (id, size, op). Verified against the columns when a cached file is
-  // mapped, so silent corruption never reaches a simulation.
+  // (id, size, op).
   uint64_t fingerprint;
-  // TraceStats snapshot, so consumers of a cached trace never re-scan it.
+  // TraceStats snapshot of the whole trace.
   uint64_t num_objects;
   uint64_t total_bytes_requested;
   uint64_t footprint_bytes;

@@ -57,11 +57,16 @@ void WritePad(std::ofstream& out, uint64_t written) {
   out.write(kZeros, static_cast<std::streamsize>(padded - written));
 }
 
-Trace ReadBinaryTraceV1(std::ifstream& in, const std::string& path) {
+// `file_size` bounds the request count a header may claim, so a corrupt
+// count fails before anything is allocated for it.
+Trace ReadBinaryTraceV1(std::ifstream& in, const std::string& path, uint64_t file_size) {
   uint64_t n = 0;
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
   if (!in) {
     Fail("truncated trace header", path);
+  }
+  if (n > file_size / sizeof(BinaryRecordV1)) {
+    Fail("truncated trace body", path);
   }
   std::vector<Request> reqs;
   reqs.reserve(n);
@@ -84,7 +89,7 @@ Trace ReadBinaryTraceV1(std::ifstream& in, const std::string& path) {
   return Trace(std::move(reqs));
 }
 
-Trace ReadBinaryTraceV2(std::ifstream& in, const std::string& path) {
+Trace ReadBinaryTraceV2(std::ifstream& in, const std::string& path, uint64_t file_size) {
   TraceFileHeaderV2 header{};
   in.seekg(0);
   in.read(reinterpret_cast<char*>(&header), sizeof(header));
@@ -96,7 +101,15 @@ Trace ReadBinaryTraceV2(std::ifstream& in, const std::string& path) {
   }
   const uint64_t n = header.num_requests;
   const bool annotated = (header.flags & kTraceFlagAnnotated) != 0;
+  // Every request takes at least one u64 of the file, which also keeps the
+  // layout arithmetic below from overflowing.
+  if (n > file_size / sizeof(uint64_t)) {
+    Fail("truncated trace body", path);
+  }
   const TraceFileLayout layout = TraceFileLayout::For(n, annotated, header.name_len);
+  if (layout.file_size > file_size) {
+    Fail("truncated trace body", path);
+  }
 
   std::string name(header.name_len, '\0');
   in.read(name.data(), header.name_len);
@@ -187,10 +200,12 @@ void WriteBinaryTrace(const Trace& trace, const std::string& path) {
 }
 
 Trace ReadBinaryTrace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     Fail("cannot open trace file for reading", path);
   }
+  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kTraceMagic, sizeof(kTraceMagic)) != 0) {
@@ -202,10 +217,10 @@ Trace ReadBinaryTrace(const std::string& path) {
     Fail("truncated trace header", path);
   }
   if (version == kTraceVersionV1) {
-    return ReadBinaryTraceV1(in, path);
+    return ReadBinaryTraceV1(in, path, file_size);
   }
   if (version == kTraceVersionV2) {
-    return ReadBinaryTraceV2(in, path);
+    return ReadBinaryTraceV2(in, path, file_size);
   }
   Fail("unsupported trace version", path);
 }

@@ -6,8 +6,7 @@
 // including tenant and, for annotated traces, next_access, which the v1
 // record format dropped. All padding is zero-filled, so the same trace
 // always serializes to identical bytes. Reads accept v1 (legacy 24-byte AoS
-// records; tenant/next_access absent) and v2. The mmap fast path over v2
-// files lives in trace_cache.h.
+// records; tenant/next_access absent) and v2.
 #ifndef SRC_TRACE_TRACE_IO_H_
 #define SRC_TRACE_TRACE_IO_H_
 

@@ -1,22 +1,13 @@
-// A zero-copy, read-only view over a request trace.
+// A cheap-to-copy, read-only handle on a heap Trace.
 //
-// The simulator layers consume TraceView instead of std::vector<Request>, so
-// the same hot loop runs over either backing without a deserialization pass:
-//
-//   * heap backing — strided "columns" pointing into a Trace's AoS Request
-//     array (stride = sizeof(Request)); AsRequests() exposes the contiguous
-//     array for the fast path;
-//   * mmap backing — true SoA columns pointing straight into a v2 trace-cache
-//     file (stride = sizeof(field)); the file is never turned into Requests.
-//
-// Views are cheap to copy; every copy shares the backing storage through a
-// type-erased owner handle (the Trace, or the file mapping), so a view keeps
-// its data alive. stats() is served from the Trace's cached stats or from the
-// v2 file header — never recomputed on the view.
+// The simulator layers take a TraceView instead of a Trace so that one
+// trace can be shared by many concurrent consumers: a borrowed view leaves
+// the trace's lifetime to the caller, and a FromTrace view shares ownership,
+// so the trace lives as long as any copy of the view. The hot loops read the
+// contiguous Request array through AsRequests().
 #ifndef SRC_TRACE_TRACE_VIEW_H_
 #define SRC_TRACE_TRACE_VIEW_H_
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,107 +18,40 @@ namespace s3fifo {
 
 class TraceView {
  public:
-  // One field's storage: consecutive values `stride` bytes apart. The base
-  // pointer is aligned for the field type in both backings (Request members
-  // in the heap case, 8-aligned file offsets in the mmap case).
-  struct Column {
-    const std::byte* base = nullptr;
-    size_t stride = 0;
-  };
-
-  // All six columns; `next_access` may be null for unannotated traces.
-  struct Columns {
-    Column id, size, op, tenant, time, next_access;
-  };
-
+  // An empty view; name() and stats() need a view of a trace.
   TraceView() = default;
 
   // Borrows `trace` without taking ownership; the caller guarantees the
   // trace outlives the view (the Simulate(const Trace&...) adapters).
-  static TraceView Borrow(const Trace& trace) { return FromTraceImpl(&trace, nullptr); }
+  static TraceView Borrow(const Trace& trace) { return TraceView(&trace, nullptr); }
 
   // Shares ownership of a heap trace; the view keeps it alive.
   static TraceView FromTrace(std::shared_ptr<const Trace> trace) {
     const Trace* raw = trace.get();
-    return FromTraceImpl(raw, std::move(trace));
+    return TraceView(raw, std::move(trace));
   }
 
-  // Wraps raw columns (the mmap path — see MapTraceFile in trace_cache.h).
-  // `owner` keeps the backing storage mapped for the lifetime of all copies.
-  static TraceView FromColumns(Columns columns, size_t num_requests, bool annotated,
-                               std::string name, const TraceStats& stats,
-                               uint64_t file_fingerprint, std::shared_ptr<const void> owner);
+  size_t size() const { return trace_ == nullptr ? 0 : trace_->size(); }
+  bool empty() const { return size() == 0; }
+  bool annotated() const { return trace_ != nullptr && trace_->annotated(); }
+  const std::string& name() const { return trace_->name(); }
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  bool annotated() const { return annotated_; }
-  const std::string& name() const { return name_; }
+  // Full-trace statistics, cached on the trace: O(n) only on the first call
+  // (Trace::Stats()). Concurrent readers must warm the cache first.
+  const TraceStats& stats() const { return trace_->Stats(); }
 
-  // Full-trace statistics: the heap trace's cached stats, or the v2 header
-  // snapshot. O(n) only the first time for a heap trace (Trace::Stats()).
-  const TraceStats& stats() const { return heap_trace_ != nullptr ? heap_trace_->Stats() : stats_; }
-
-  // The fingerprint recorded in the backing file's header (mmap views only);
-  // 0 for heap views. Compare with ComputeFingerprint() to detect corruption.
-  uint64_t file_fingerprint() const { return file_fingerprint_; }
-
-  // Order-sensitive digest over (id, size, op) — same definition as
-  // Trace::Fingerprint(). One linear pass.
-  uint64_t ComputeFingerprint() const;
-
-  uint64_t id(size_t i) const { return Load<uint64_t>(columns_.id, i); }
-  uint32_t object_size(size_t i) const { return Load<uint32_t>(columns_.size, i); }
-  OpType op(size_t i) const { return static_cast<OpType>(Load<uint8_t>(columns_.op, i)); }
-  uint32_t tenant(size_t i) const { return Load<uint32_t>(columns_.tenant, i); }
-  uint64_t time(size_t i) const { return Load<uint64_t>(columns_.time, i); }
-  uint64_t next_access(size_t i) const {
-    return columns_.next_access.base == nullptr ? kNeverAccessed
-                                                : Load<uint64_t>(columns_.next_access, i);
+  // The trace's contiguous request array (size() entries).
+  const Request* AsRequests() const {
+    return trace_ == nullptr ? nullptr : trace_->requests().data();
   }
-
-  // Materializes one request (gathers from the columns in the mmap case).
-  Request At(size_t i) const {
-    const Request* aos = AsRequests();
-    if (aos != nullptr) {
-      return aos[i];
-    }
-    Request r;
-    r.id = id(i);
-    r.size = object_size(i);
-    r.op = op(i);
-    r.tenant = tenant(i);
-    r.time = time(i);
-    r.next_access = next_access(i);
-    return r;
-  }
-
-  // Non-null iff the view is backed by a contiguous Request array (heap
-  // backing) — the simulators' copy-free fast path.
-  const Request* AsRequests() const { return aos_; }
 
  private:
-  static TraceView FromTraceImpl(const Trace* trace, std::shared_ptr<const void> owner);
+  TraceView(const Trace* trace, std::shared_ptr<const Trace> owner)
+      : trace_(trace), owner_(std::move(owner)) {}
 
-  template <typename T>
-  T Load(const Column& c, size_t i) const {
-    return *reinterpret_cast<const T*>(c.base + i * c.stride);
-  }
-
-  Columns columns_;
-  size_t size_ = 0;
-  bool annotated_ = false;
-  std::string name_;
-  TraceStats stats_;                  // header snapshot (mmap backing)
-  const Trace* heap_trace_ = nullptr; // set for heap backing; serves stats()
-  const Request* aos_ = nullptr;
-  uint64_t file_fingerprint_ = 0;
-  std::shared_ptr<const void> owner_;
+  const Trace* trace_ = nullptr;
+  std::shared_ptr<const Trace> owner_;
 };
-
-// Copies a view back into an owning AoS Trace (name, annotation flag, and
-// every request field). Used by analysis consumers that need a Trace — the
-// simulation path never calls this.
-Trace MaterializeTrace(const TraceView& view);
 
 }  // namespace s3fifo
 

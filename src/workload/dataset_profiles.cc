@@ -183,11 +183,7 @@ const DatasetProfile& DatasetByName(const std::string& name) {
   throw std::out_of_range("unknown dataset profile: " + name);
 }
 
-// The effective generator config for one dataset instance. Shared by
-// GenerateDatasetTrace and DatasetTraceSpec so the cache key always
-// serializes exactly what the generator will run.
-static ZipfWorkloadConfig EffectiveDatasetConfig(const DatasetProfile& profile,
-                                                 uint32_t trace_index, double scale) {
+Trace GenerateDatasetTrace(const DatasetProfile& profile, uint32_t trace_index, double scale) {
   ZipfWorkloadConfig c = profile.base;
   scale = std::max(scale, 0.01);
   c.num_objects = std::max<uint64_t>(static_cast<uint64_t>(c.num_objects * scale), 1000);
@@ -199,20 +195,9 @@ static ZipfWorkloadConfig EffectiveDatasetConfig(const DatasetProfile& profile,
   const double jitter_m = 0.75 + 0.5 * ((c.seed >> 17) % 1000) / 1000.0;
   c.alpha *= jitter_a;
   c.num_objects = std::max<uint64_t>(static_cast<uint64_t>(c.num_objects * jitter_m), 1000);
-  return c;
-}
-
-Trace GenerateDatasetTrace(const DatasetProfile& profile, uint32_t trace_index, double scale) {
-  Trace t = GenerateZipfTrace(EffectiveDatasetConfig(profile, trace_index, scale));
+  Trace t = GenerateZipfTrace(c);
   t.set_name(profile.name + "/" + std::to_string(trace_index));
   return t;
-}
-
-TraceSpec DatasetTraceSpec(const DatasetProfile& profile, uint32_t trace_index, double scale) {
-  TraceSpec spec = ZipfTraceSpec(EffectiveDatasetConfig(profile, trace_index, scale));
-  spec.group = profile.name;
-  spec.detail += ";name=" + profile.name + "/" + std::to_string(trace_index);
-  return spec;
 }
 
 }  // namespace s3fifo

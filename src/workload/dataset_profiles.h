@@ -35,11 +35,6 @@ const DatasetProfile& DatasetByName(const std::string& name);
 Trace GenerateDatasetTrace(const DatasetProfile& profile, uint32_t trace_index,
                            double scale = 1.0);
 
-// Trace-cache spec for GenerateDatasetTrace(profile, trace_index, scale):
-// the full base config plus the per-instance knobs, so a custom profile
-// sharing a built-in's name cannot collide with it.
-TraceSpec DatasetTraceSpec(const DatasetProfile& profile, uint32_t trace_index, double scale);
-
 }  // namespace s3fifo
 
 #endif  // SRC_WORKLOAD_DATASET_PROFILES_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <queue>
 
 #include "src/util/det_math.h"
@@ -147,32 +146,6 @@ Trace GenerateZipfTrace(const ZipfWorkloadConfig& config) {
   }
 
   return Trace(std::move(reqs));
-}
-
-std::string ZipfConfigSpecString(const ZipfWorkloadConfig& c) {
-  // %.17g round-trips any double exactly; every generator-visible field is
-  // serialized so equal strings imply byte-identical GenerateZipfTrace output.
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "objects=%llu;requests=%llu;alpha=%.17g;new=%.17g;"
-      "scan=%.17g;scan_len=%llu;loop=%.17g;loop_len=%llu;loop_rep=%lu;"
-      "burst=%.17g;burst_gap=%lu;write=%.17g;delete=%.17g;"
-      "size_mean=%lu;size_sigma=%.17g;size_min=%lu;size_max=%lu;"
-      "seed=%llu;scramble=%d",
-      static_cast<unsigned long long>(c.num_objects),
-      static_cast<unsigned long long>(c.num_requests), c.alpha, c.new_object_fraction,
-      c.scan_fraction, static_cast<unsigned long long>(c.scan_length), c.loop_fraction,
-      static_cast<unsigned long long>(c.loop_length), static_cast<unsigned long>(c.loop_repeats),
-      c.burst_fraction, static_cast<unsigned long>(c.burst_gap_max), c.write_fraction,
-      c.delete_fraction, static_cast<unsigned long>(c.size_mean_bytes), c.size_sigma,
-      static_cast<unsigned long>(c.size_min_bytes), static_cast<unsigned long>(c.size_max_bytes),
-      static_cast<unsigned long long>(c.seed), c.scramble_ids ? 1 : 0);
-  return std::string(buf);
-}
-
-TraceSpec ZipfTraceSpec(const ZipfWorkloadConfig& config) {
-  return TraceSpec{"zipf", ZipfConfigSpecString(config), kTraceGeneratorVersion};
 }
 
 }  // namespace s3fifo

@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "src/trace/trace.h"
-#include "src/trace/trace_cache.h"
 
 namespace s3fifo {
 
@@ -66,14 +65,6 @@ struct ZipfWorkloadConfig {
 
 // Generates a trace according to the configuration. Deterministic in `seed`.
 Trace GenerateZipfTrace(const ZipfWorkloadConfig& config);
-
-// Canonical serialization of every field that affects GenerateZipfTrace's
-// output — equal strings mean byte-identical traces (at a fixed
-// kTraceGeneratorVersion).
-std::string ZipfConfigSpecString(const ZipfWorkloadConfig& config);
-
-// Trace-cache spec for GenerateZipfTrace(config).
-TraceSpec ZipfTraceSpec(const ZipfWorkloadConfig& config);
 
 }  // namespace s3fifo
 

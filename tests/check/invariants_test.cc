@@ -161,7 +161,7 @@ TEST(InvariantsTest, ShardsConvergesToExactCurve) {
   // rate == 1.0 must be EXACT (hard equality inside the check); lower rates
   // only need to land near the curve, with tolerance widening as the sample
   // shrinks (the FAST'15 error model scales like 1/sqrt(sampled objects)).
-  for (const std::string& policy : {"s3fifo", "fifo", "lru"}) {
+  for (const char* policy : {"s3fifo", "fifo", "lru"}) {
     EXPECT_EQ(CheckShardsConvergence(policy, config, trace, grid, 1.0, 0.0), "") << policy;
     EXPECT_EQ(CheckShardsConvergence(policy, config, trace, grid, 0.5, 0.08), "") << policy;
     EXPECT_EQ(CheckShardsConvergence(policy, config, trace, grid, 0.25, 0.15), "") << policy;

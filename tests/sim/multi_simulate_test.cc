@@ -7,13 +7,10 @@
 #include <string>
 #include <vector>
 
-#include <filesystem>
-
 #include "src/core/cache_factory.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sweep_engine.h"
 #include "src/trace/next_access.h"
-#include "src/trace/trace_cache.h"
 #include "src/workload/zipf_workload.h"
 
 namespace s3fifo {
@@ -98,41 +95,6 @@ TEST(MultiSimulateTest, EmptyCacheSetYieldsNoResults) {
   const Trace trace = MakeMixedTrace();
   const std::vector<std::unique_ptr<Cache>> none;
   EXPECT_TRUE(MultiSimulate(trace, none).empty());
-}
-
-// The mmap'd columnar backing must be indistinguishable from the heap trace
-// in simulation output, through both Simulate and MultiSimulate.
-TEST(MultiSimulateTest, MmapAndHeapBackingsSimulateIdentically) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "s3fifo_multi_sim_cache_test").string();
-  std::filesystem::remove_all(dir);
-  const Trace heap_trace = MakeMixedTrace();
-  TraceCache cache_store(dir);
-  const TraceView mmap_view =
-      cache_store.GetOrGenerate(TraceSpec{"multi-sim", "mixed"}, [] { return MakeMixedTrace(); });
-  ASSERT_EQ(mmap_view.AsRequests(), nullptr);
-  ASSERT_EQ(mmap_view.ComputeFingerprint(), heap_trace.Fingerprint());
-
-  CacheConfig config;
-  config.capacity = 200;
-  for (const std::string& name : AllCacheNames()) {
-    auto heap_cache = CreateCache(name, config);
-    auto mmap_cache = CreateCache(name, config);
-    ExpectSameResult(Simulate(TraceView::Borrow(heap_trace), *heap_cache),
-                     Simulate(mmap_view, *mmap_cache), name + "/mmap-vs-heap");
-  }
-
-  std::vector<std::unique_ptr<Cache>> heap_caches, mmap_caches;
-  for (const std::string& name : AllCacheNames()) {
-    heap_caches.push_back(CreateCache(name, config));
-    mmap_caches.push_back(CreateCache(name, config));
-  }
-  const std::vector<SimResult> heap_results = MultiSimulate(heap_trace, heap_caches);
-  const std::vector<SimResult> mmap_results = MultiSimulate(mmap_view, mmap_caches);
-  for (size_t i = 0; i < AllCacheNames().size(); ++i) {
-    ExpectSameResult(heap_results[i], mmap_results[i], AllCacheNames()[i] + "/multi-mmap");
-  }
-  std::filesystem::remove_all(dir);
 }
 
 // ---- SweepEngine ----
@@ -257,63 +219,6 @@ TEST(SweepEngineTest, ReportsFailedUnitsWithoutPoisoningOthers) {
   EXPECT_FALSE(results[1].ok);
   EXPECT_EQ(results[1].attempts, 2u);  // initial try + one retry
   EXPECT_NE(results[1].error.find("boom"), std::string::npos);
-}
-
-// Cache-backed (mmap) and heap-backed sweeps must agree bit-for-bit at every
-// thread count — the trace backing is invisible to the miss-ratio output.
-TEST(SweepEngineTest, TraceCacheBackingIsThreadCountAndBackingInvariant) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "s3fifo_sweep_cache_test").string();
-  std::filesystem::remove_all(dir);
-  TraceCache trace_cache(dir);
-  const DatasetProfile& profile = DatasetByName("msr");
-  const double scale = 0.02;
-  const std::vector<std::string> policies = {"fifo", "lru", "s3fifo"};
-
-  auto run = [&](TraceCache* cache, unsigned threads) {
-    RunnerOptions options;
-    options.num_threads = threads;
-    SweepEngine engine(options);
-    std::vector<SweepUnit> units;
-    const SharedTracePtr shared =
-        SweepEngine::MakeSharedDatasetTrace(profile, 0, scale, cache);
-    for (const uint64_t capacity : {60, 200}) {
-      SweepUnit unit;
-      unit.label = "cap" + std::to_string(capacity);
-      unit.trace = shared;
-      unit.make_caches = [capacity, &policies](const TraceView&) {
-        CacheConfig config;
-        config.capacity = capacity;
-        std::vector<std::unique_ptr<Cache>> caches;
-        for (const std::string& p : policies) {
-          caches.push_back(CreateCache(p, config));
-        }
-        return caches;
-      };
-      units.push_back(std::move(unit));
-    }
-    return engine.Run(units);
-  };
-
-  const std::vector<SweepUnitResult> heap = run(nullptr, 1);
-  for (const unsigned threads : {1u, 4u}) {
-    const std::vector<SweepUnitResult> cached = run(&trace_cache, threads);
-    ASSERT_EQ(cached.size(), heap.size());
-    for (size_t u = 0; u < heap.size(); ++u) {
-      ASSERT_TRUE(heap[u].ok) << heap[u].error;
-      ASSERT_TRUE(cached[u].ok) << cached[u].error;
-      ASSERT_EQ(cached[u].results.size(), heap[u].results.size());
-      for (size_t i = 0; i < heap[u].results.size(); ++i) {
-        ExpectSameResult(cached[u].results[i], heap[u].results[i],
-                         heap[u].label + "/" + policies[i] + "@threads=" +
-                             std::to_string(threads));
-      }
-    }
-  }
-  // Everything after the first resolution was served from cache.
-  EXPECT_EQ(trace_cache.misses(), 1u);
-  EXPECT_GE(trace_cache.hits(), 1u);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+
+#include "src/trace/trace_format.h"
 
 namespace s3fifo {
 namespace {
@@ -83,8 +86,7 @@ TEST_F(TraceIoTest, BinaryRoundTripPreservesTenantAndNextAccess) {
   EXPECT_EQ(loaded.Fingerprint(), original.Fingerprint());
 }
 
-// Byte-determinism underpins the trace cache's atomic-rename race story:
-// concurrent populators of a key must produce interchangeable files.
+// The same trace must always serialize to identical bytes.
 TEST_F(TraceIoTest, BinaryWriteIsByteDeterministic) {
   Trace original = AnnotatedTrace();
   WriteBinaryTrace(original, Path("d1.bin"));
@@ -94,6 +96,30 @@ TEST_F(TraceIoTest, BinaryWriteIsByteDeterministic) {
   const std::string bytes_b((std::istreambuf_iterator<char>(b)), {});
   EXPECT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, bytes_b);
+}
+
+// The v2 header carries the trace's fingerprint and a TraceStats snapshot.
+TEST_F(TraceIoTest, HeaderStatsMatchComputedStats) {
+  Trace trace = AnnotatedTrace();
+  WriteBinaryTrace(trace, Path("h.bin"));
+  std::ifstream in(Path("h.bin"), std::ios::binary);
+  TraceFileHeaderV2 header{};
+  in.read(reinterpret_cast<char*>(&header), sizeof(header));
+  ASSERT_TRUE(in.good());
+  EXPECT_EQ(std::string(header.magic, 4), "S3FT");
+  EXPECT_EQ(header.version, kTraceVersionV2);
+  EXPECT_EQ(header.flags, kTraceFlagAnnotated);
+  EXPECT_EQ(header.fingerprint, trace.Fingerprint());
+  const TraceStats& expected = trace.Stats();
+  EXPECT_EQ(header.num_requests, expected.num_requests);
+  EXPECT_EQ(header.num_objects, expected.num_objects);
+  EXPECT_EQ(header.total_bytes_requested, expected.total_bytes_requested);
+  EXPECT_EQ(header.footprint_bytes, expected.footprint_bytes);
+  EXPECT_EQ(header.num_gets, expected.num_gets);
+  EXPECT_EQ(header.num_sets, expected.num_sets);
+  EXPECT_EQ(header.num_deletes, expected.num_deletes);
+  EXPECT_DOUBLE_EQ(header.one_hit_wonder_ratio, expected.one_hit_wonder_ratio);
+  EXPECT_EQ(header.name_len, trace.name().size());
 }
 
 // Files written before the columnar format (24-byte AoS records) must stay
@@ -167,6 +193,28 @@ TEST_F(TraceIoTest, TruncatedBodyThrows) {
   const auto size = std::filesystem::file_size(Path("t.bin"));
   std::filesystem::resize_file(Path("t.bin"), size - 10);
   EXPECT_THROW(ReadBinaryTrace(Path("t.bin")), std::runtime_error);
+}
+
+// A corrupt request count must fail as a format error before the reader
+// allocates for it.
+TEST_F(TraceIoTest, RequestCountBeyondFileSizeThrows) {
+  const uint64_t huge = uint64_t{1} << 40;
+  {
+    std::ofstream out(Path("v1huge.bin"), std::ios::binary);
+    out.write("S3FT", 4);
+    const uint32_t version = 1;
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_THROW(ReadBinaryTrace(Path("v1huge.bin")), std::runtime_error);
+
+  WriteBinaryTrace(SampleTrace(), Path("v2huge.bin"));
+  {
+    std::fstream f(Path("v2huge.bin"), std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(offsetof(TraceFileHeaderV2, num_requests));
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_THROW(ReadBinaryTrace(Path("v2huge.bin")), std::runtime_error);
 }
 
 TEST_F(TraceIoTest, EmptyTraceRoundTrips) {

@@ -1,0 +1,82 @@
+#include "src/trace/trace_view.h"
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <optional>
+
+#include "src/workload/zipf_workload.h"
+
+namespace s3fifo {
+namespace {
+
+Trace MakeTrace() {
+  ZipfWorkloadConfig cfg;
+  cfg.num_objects = 500;
+  cfg.num_requests = 6000;
+  cfg.write_fraction = 0.1;
+  cfg.delete_fraction = 0.03;
+  cfg.size_sigma = 0.8;
+  cfg.seed = 13;
+  Trace t = GenerateZipfTrace(cfg);
+  t.set_name("view-test");
+  uint64_t i = 0;
+  for (Request& r : t.mutable_requests()) {
+    r.tenant = static_cast<uint32_t>(i % 5);
+    r.next_access = i % 4 == 0 ? kNeverAccessed : i + 2;
+    ++i;
+  }
+  t.set_annotated(true);
+  return t;
+}
+
+TEST(TraceViewTest, DefaultViewIsEmpty) {
+  const TraceView view;
+  EXPECT_TRUE(view.empty());
+  EXPECT_EQ(view.size(), 0u);
+  EXPECT_FALSE(view.annotated());
+  EXPECT_EQ(view.AsRequests(), nullptr);
+}
+
+TEST(TraceViewTest, BorrowedHeapViewMatchesTrace) {
+  const Trace trace = MakeTrace();
+  const TraceView view = TraceView::Borrow(trace);
+  ASSERT_EQ(view.size(), trace.size());
+  EXPECT_EQ(view.name(), trace.name());
+  EXPECT_TRUE(view.annotated());
+  // The view reads the trace's own array and stats: no copy.
+  EXPECT_EQ(view.AsRequests(), trace.requests().data());
+  EXPECT_EQ(&view.stats(), &trace.Stats());
+  const Request* reqs = view.AsRequests();
+  for (size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(reqs[i].id, trace[i].id) << i;
+    EXPECT_EQ(reqs[i].size, trace[i].size) << i;
+    EXPECT_EQ(reqs[i].op, trace[i].op) << i;
+    EXPECT_EQ(reqs[i].tenant, trace[i].tenant) << i;
+    EXPECT_EQ(reqs[i].time, trace[i].time) << i;
+    EXPECT_EQ(reqs[i].next_access, trace[i].next_access) << i;
+  }
+}
+
+TEST(TraceViewTest, FromTraceKeepsTraceAliveAfterCallersLastReference) {
+  auto owned = std::make_shared<const Trace>(MakeTrace());
+  const std::weak_ptr<const Trace> watch = owned;
+  const uint64_t fingerprint = owned->Fingerprint();
+  const size_t size = owned->size();
+
+  std::optional<TraceView> view = TraceView::FromTrace(owned);
+  owned.reset();
+  ASSERT_FALSE(watch.expired());
+  TraceView copy = *view;
+  view.reset();
+  ASSERT_FALSE(watch.expired());  // a surviving copy still owns the trace
+  EXPECT_EQ(copy.size(), size);
+  Trace reread(std::vector<Request>(copy.AsRequests(), copy.AsRequests() + copy.size()));
+  EXPECT_EQ(reread.Fingerprint(), fingerprint);
+
+  copy = TraceView();
+  EXPECT_TRUE(watch.expired());
+}
+
+}  // namespace
+}  // namespace s3fifo

@@ -8,6 +8,7 @@ namespace s3fifo {
 namespace {
 
 struct Node {
+  explicit Node(int v = 0) : value(v) {}
   int value = 0;
   ListHook hook;
   ListHook hook2;
