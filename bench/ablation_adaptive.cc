@@ -1,7 +1,7 @@
 // §6.2.2 ablation: static S3-FIFO vs adaptive S3-FIFO-D across all traces,
 // plus the adversarial pattern where adaptation is expected to help. The
-// dataset sweep runs on the sweep engine; the adversarial pair shares one
-// trace pass via MultiSimulate.
+// dataset sweep runs one task per trace (bench/sweep.h); the adversarial pair
+// shares one trace pass via MultiSimulate.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -101,6 +101,6 @@ void Run(const BenchOptions& opts) {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
-  return 0;
+  const s3fifo::BenchOptions opts = s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::RunBenchMain([&] { s3fifo::Run(opts); });
 }

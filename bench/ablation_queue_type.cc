@@ -1,7 +1,7 @@
 // §6.3 ablation: "LRU or FIFO?" — replace S and/or M with LRU queues and
 // compare miss ratios across traces. The paper's conclusion: with quick
-// demotion in place, the queue type does not matter. One shared trace pass
-// through all five variants on the sweep engine.
+// demotion in place, the queue type does not matter. One task per trace
+// (bench/sweep.h) runs all five variants.
 #include <cstdio>
 #include <map>
 
@@ -63,6 +63,6 @@ void Run(const BenchOptions& opts) {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
-  return 0;
+  const s3fifo::BenchOptions opts = s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::RunBenchMain([&] { s3fifo::Run(opts); });
 }

@@ -1,8 +1,8 @@
 // Ablation: the S->M move threshold. Algorithm 1 line 18 moves on freq > 1
 // (two accesses after insertion); the §4.1 prose reads "accessed more than
 // once", which several open-source implementations interpret as one access
-// (freq >= 1). This sweep quantifies the difference, one shared trace pass
-// per cache size on the sweep engine.
+// (freq >= 1). This sweep quantifies the difference, one task per trace
+// (bench/sweep.h).
 #include <cstdio>
 #include <map>
 
@@ -69,6 +69,6 @@ void Run(const BenchOptions& opts) {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
-  return 0;
+  const s3fifo::BenchOptions opts = s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::RunBenchMain([&] { s3fifo::Run(opts); });
 }

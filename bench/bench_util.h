@@ -50,7 +50,7 @@ struct BenchOptions {
 [[noreturn]] inline void BenchUsage(const char* argv0, int status) {
   std::fprintf(status == 0 ? stdout : stderr,
                "usage: %s [--threads=N] [--mrc=MODE]\n"
-               "  --threads=N  sweep-engine worker threads (0 = hardware concurrency)\n"
+               "  --threads=N  sweep worker threads (0 = hardware concurrency)\n"
                "  --mrc=MODE   miss-ratio sweeps: onepass (default) | brute\n"
                "  env S3FIFO_BENCH_SCALE=X scales trace lengths (default 1.0)\n",
                argv0);

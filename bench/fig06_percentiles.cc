@@ -1,7 +1,7 @@
 // Fig. 6: each algorithm's miss-ratio reduction relative to FIFO at
 // P10/P25/P50/mean/P75/P90 across all traces, at the large and small cache
-// sizes. Runs on the sweep engine: each trace is generated once and streamed
-// once per cache size through all 14 policies.
+// sizes. One task per trace (bench/sweep.h) generates the trace and runs all
+// 14 policies at both sizes.
 #include <cstdio>
 #include <map>
 
@@ -80,6 +80,6 @@ void Run(const BenchOptions& opts) {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
-  return 0;
+  const s3fifo::BenchOptions opts = s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::RunBenchMain([&] { s3fifo::Run(opts); });
 }

@@ -1,8 +1,8 @@
 // Fig. 7: the mean miss-ratio reduction (vs FIFO) per dataset, large and
 // small cache sizes, for the selected algorithms — plus the paper's
 // robustness headline: on how many datasets is each algorithm the best /
-// top-3? Runs on the sweep engine: each trace is generated once and streamed
-// once per cache size through all policies.
+// top-3? One task per trace (bench/sweep.h) generates the trace and runs
+// every policy at both sizes.
 #include <cstdio>
 #include <map>
 
@@ -99,6 +99,6 @@ void Run(const BenchOptions& opts) {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
-  return 0;
+  const s3fifo::BenchOptions opts = s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::RunBenchMain([&] { s3fifo::Run(opts); });
 }

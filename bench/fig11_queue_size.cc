@@ -1,7 +1,7 @@
 // Fig. 11: S3-FIFO's miss-ratio-reduction percentiles across traces as a
 // function of the small-queue size (1% .. 40% of the cache), at large and
-// small cache sizes. Runs on the sweep engine: all seven small_ratio
-// variants share one pass over each trace.
+// small cache sizes. One task per trace (bench/sweep.h) runs all seven
+// small_ratio variants.
 #include <cstdio>
 #include <map>
 
@@ -71,6 +71,6 @@ void Run(const BenchOptions& opts) {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::Run(s3fifo::ParseBenchArgs(argc, argv));
-  return 0;
+  const s3fifo::BenchOptions opts = s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::RunBenchMain([&] { s3fifo::Run(opts); });
 }

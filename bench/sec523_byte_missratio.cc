@@ -3,6 +3,7 @@
 // accounting. The paper reports results "not significantly different from
 // the [request] miss ratio", with S3-FIFO ahead at almost all percentiles,
 // and parity between S3-FIFO and LRB on CDN traces.
+#include <array>
 #include <cstdio>
 #include <map>
 
@@ -15,29 +16,40 @@
 namespace s3fifo {
 namespace {
 
-void Run() {
+void Run(const BenchOptions& opts) {
   PrintHeader("§5.2.3: byte miss ratio across traces", "§5.2.3 (text; figure omitted in paper)");
   const double scale = BenchScale() * 0.25;
 
   const std::vector<std::string> policies = {"s3fifo", "tinylfu", "lirs", "2q",
                                              "arc",    "lru",     "lrb-lite"};
+  // Per trace: the reductions at the large and the small size, index-aligned
+  // with `policies`.
+  using TraceReductions = std::array<std::vector<double>, 2>;
+  const std::vector<TraceReductions> per_trace =
+      ForEachTrace(scale, opts.threads, [&](const SweepTrace& t) {
+        const uint64_t footprint_bytes = t.trace.Stats().footprint_bytes;
+        TraceReductions reductions;
+        for (const bool large : {true, false}) {
+          CacheConfig config;
+          config.capacity = std::max<uint64_t>(footprint_bytes / (large ? 10 : 100), 4096);
+          config.count_based = false;
+          auto fifo = CreateCache("fifo", config);
+          const double mr_fifo = Simulate(t.trace, *fifo).ByteMissRatio();
+          for (const std::string& policy : policies) {
+            auto cache = CreateCache(policy, config);
+            reductions[large ? 0 : 1].push_back(
+                MissRatioReduction(Simulate(t.trace, *cache).ByteMissRatio(), mr_fifo));
+          }
+        }
+        return reductions;
+      });
   std::map<std::string, std::vector<double>> red_large, red_small;
-
-  ForEachSweepCase(scale, [&](const SweepCase& c) {
-    const uint64_t footprint_bytes = c.trace.Stats().footprint_bytes;
-    for (const bool large : {true, false}) {
-      CacheConfig config;
-      config.capacity = std::max<uint64_t>(footprint_bytes / (large ? 10 : 100), 4096);
-      config.count_based = false;
-      auto fifo = CreateCache("fifo", config);
-      const double mr_fifo = Simulate(c.trace, *fifo).ByteMissRatio();
-      for (const std::string& policy : policies) {
-        auto cache = CreateCache(policy, config);
-        (large ? red_large : red_small)[policy].push_back(
-            MissRatioReduction(Simulate(c.trace, *cache).ByteMissRatio(), mr_fifo));
-      }
+  for (const TraceReductions& reductions : per_trace) {
+    for (size_t pi = 0; pi < policies.size(); ++pi) {
+      red_large[policies[pi]].push_back(reductions[0][pi]);
+      red_small[policies[pi]].push_back(reductions[1][pi]);
     }
-  });
+  }
 
   for (const bool large : {true, false}) {
     std::printf("\n--- %s cache (%s of footprint bytes) ---\n", large ? "large" : "small",
@@ -58,7 +70,6 @@ void Run() {
 }  // namespace s3fifo
 
 int main(int argc, char** argv) {
-  s3fifo::ParseBenchArgs(argc, argv);
-  s3fifo::Run();
-  return 0;
+  const s3fifo::BenchOptions opts = s3fifo::ParseBenchArgs(argc, argv);
+  return s3fifo::RunBenchMain([&] { s3fifo::Run(opts); });
 }

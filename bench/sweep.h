@@ -1,5 +1,5 @@
-// Shared trace-sweep drivers for the miss-ratio figures (Fig. 6, 7, 11 and
-// the ablations).
+// The trace sweep behind the miss-ratio figures (Fig. 6, 7, 11, the
+// ablations and §5.2.3).
 //
 // Cache sizes: the paper uses 10% ("large") and 0.1% ("small") of the trace
 // footprint, skipping traces where the small cache would hold under 1000
@@ -7,62 +7,111 @@
 // traces, so we use 10% and 1% — keeping the small cache's *absolute* object
 // count in the same regime as the paper's 0.1% of a production footprint.
 //
-// Two drivers:
-//   * ForEachSweepCase — the original serial path: generates each trace and
-//     hands it to the caller, which simulates one cache per pass. Kept as
-//     the baseline the sweep-speedup bench measures against.
-//   * RunMissRatioSweep — the sweep-engine path: every (trace, cache-size)
-//     pair becomes one SweepUnit that streams the trace once through FIFO
-//     plus all requested policy variants (MultiSimulate), units fan out over
-//     the RunTasks thread pool, and each trace is generated once and shared.
-//     Results are collected in deterministic case order regardless of the
-//     thread count, and are bit-identical to the serial path.
+// One loop: ForEachTrace runs one task per dataset trace on a few worker
+// threads — the in-process analog of the paper's distributed computation
+// platform (§5.1.2). A task generates its trace, simulates everything it
+// needs on it and returns its result; results come back in dataset/trace
+// order whatever the thread count, and every task is deterministic, so the
+// output is identical for any thread count.
 #ifndef BENCH_SWEEP_H_
 #define BENCH_SWEEP_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/analysis/mrc_engine.h"
 #include "src/core/cache_factory.h"
-#include "src/sim/sweep_engine.h"
+#include "src/sim/multi_sim.h"
 #include "src/workload/dataset_profiles.h"
 
 namespace s3fifo {
-
-struct SweepCase {
-  const DatasetProfile* dataset;
-  uint32_t trace_index;
-  Trace trace;
-  uint64_t large_capacity;  // 10% of footprint
-  uint64_t small_capacity;  // 1% of footprint
-};
 
 inline uint64_t SweepCapacity(uint64_t footprint, bool large) {
   return std::max<uint64_t>(large ? footprint / 10 : footprint / 100, 10);
 }
 
-inline void ForEachSweepCase(double scale, const std::function<void(const SweepCase&)>& fn,
-                             bool progress = true) {
+// One dataset trace, as a task of the per-trace loop sees it.
+struct SweepTrace {
+  const DatasetProfile* dataset;
+  uint32_t index;
+  Trace trace;
+};
+
+// Every (dataset, trace index) of the sweep, in profile-list order. The list
+// ends with its smallest traces, so the tail of a parallel sweep stays short.
+inline std::vector<std::pair<const DatasetProfile*, uint32_t>> SweepTraceList() {
+  std::vector<std::pair<const DatasetProfile*, uint32_t>> list;
   for (const DatasetProfile& d : AllDatasetProfiles()) {
     for (uint32_t i = 0; i < d.num_traces; ++i) {
-      SweepCase c{&d, i, GenerateDatasetTrace(d, i, scale), 0, 0};
-      const uint64_t footprint = c.trace.Stats().num_objects;
-      c.large_capacity = SweepCapacity(footprint, true);
-      c.small_capacity = SweepCapacity(footprint, false);
-      fn(c);
-    }
-    if (progress) {
-      std::fprintf(stderr, "  [sweep] %s done\n", d.name.c_str());
+      list.emplace_back(&d, i);
     }
   }
+  return list;
+}
+
+// Worker threads for a sweep: `threads`, or hardware concurrency when 0,
+// clamped to the number of traces.
+inline unsigned SweepWorkers(unsigned threads) {
+  const unsigned wanted =
+      threads != 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(std::min<size_t>(wanted, SweepTraceList().size()));
+}
+
+// Runs fn(const SweepTrace&) once per dataset trace on SweepWorkers(threads)
+// threads, each claiming the next trace in profile-list order, and returns
+// the results in that order. If tasks throw, the workers stop claiming new
+// traces and the first failure in trace order is rethrown after the join,
+// prefixed with the trace's label ("<dataset>/<index>: ...");
+// std::invalid_argument keeps its type, anything else becomes
+// std::runtime_error.
+template <typename Fn>
+auto ForEachTrace(double scale, unsigned threads, Fn&& fn) {
+  using Result = decltype(fn(std::declval<const SweepTrace&>()));
+  const auto list = SweepTraceList();
+  std::vector<Result> results(list.size());
+  std::vector<std::exception_ptr> errors(list.size());
+  std::atomic<size_t> next{0};
+  const auto work = [&] {
+    for (size_t t = next++; t < list.size(); t = next++) {
+      const auto [dataset, index] = list[t];
+      const auto label = [&] { return dataset->name + "/" + std::to_string(index) + ": "; };
+      try {
+        results[t] = fn(SweepTrace{dataset, index, GenerateDatasetTrace(*dataset, index, scale)});
+      } catch (const std::invalid_argument& e) {
+        errors[t] = std::make_exception_ptr(std::invalid_argument(label() + e.what()));
+      } catch (const std::exception& e) {
+        errors[t] = std::make_exception_ptr(std::runtime_error(label() + e.what()));
+      } catch (...) {
+        errors[t] = std::make_exception_ptr(std::runtime_error(label() + "unknown exception"));
+      }
+      if (errors[t]) {
+        next = list.size();
+      }
+    }
+  };
+  {
+    // jthread joins on destruction, also when starting a later worker throws.
+    std::vector<std::jthread> workers;
+    for (unsigned w = 0; w < SweepWorkers(threads); ++w) {
+      workers.emplace_back(work);
+    }
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
+  return results;
 }
 
 // One policy configuration simulated against the FIFO baseline.
@@ -92,233 +141,148 @@ struct SweepCell {
 
 struct SweepSummary {
   double wall_ms = 0;
-  uint64_t simulated_requests = 0;  // Σ trace length × caches per unit
+  uint64_t simulated_requests = 0;  // Σ trace length × (1 + variants) × sizes
   double requests_per_sec = 0;
   unsigned threads = 0;
-  bool ok = true;  // false if any unit failed after retries
 };
 
-// Streams every dataset trace through FIFO + all variants on the sweep
-// engine. `collect` runs on the calling thread after the sweep, once per
-// (trace, size) cell, in deterministic dataset/trace/size order.
+// Streams every dataset trace through FIFO + all variants, one ForEachTrace
+// task per trace. `collect` runs on the calling thread after the sweep, once
+// per (trace, size) cell, in deterministic dataset/trace/size order. Throws
+// what ForEachTrace throws (e.g. std::invalid_argument for an unregistered
+// policy), before any cell is collected.
 //
 // MRC mode (the bench binaries' --mrc= flag): under kAuto (the default),
-// each policy the one-pass engine supports becomes ONE unit per trace that
-// computes the whole capacity grid in a single traversal (OnePassMrc);
-// everything else keeps the per-size MultiSimulate units. Under kBrute every
-// policy takes the per-size path. The two modes produce bit-identical cells
-// — the one-pass engine is exact (tools/check_mrc_smoke.py asserts this on
-// fig06 in CI) — so kBrute is purely the escape hatch / reference timing.
-// kShards is approximate and throws std::invalid_argument.
+// each policy the one-pass engine supports is computed for the trace's whole
+// size grid in one traversal (OnePassMrc); everything else is streamed once
+// per size through one MultiSimulate. Under kBrute every policy takes the
+// MultiSimulate path. The two modes produce bit-identical cells — the
+// one-pass engine is exact (tools/check_mrc_smoke.py asserts this on fig06
+// in CI) — so kBrute is purely the escape hatch / reference timing.
 inline SweepSummary RunMissRatioSweep(double scale, const std::vector<PolicyVariant>& variants,
                                       bool include_small,
                                       const std::function<void(const SweepCell&)>& collect,
                                       unsigned threads = 0, bool progress = true,
                                       MrcMode mrc_mode = MrcMode::kAuto) {
-  if (mrc_mode == MrcMode::kShards) {
-    throw std::invalid_argument("RunMissRatioSweep: the sweep has no SHARDS mode");
-  }
-  const bool use_onepass = mrc_mode != MrcMode::kBrute;
+  const bool use_onepass = mrc_mode == MrcMode::kAuto;
   const std::vector<bool> size_flags =
       include_small ? std::vector<bool>{true, false} : std::vector<bool>{true};
-
   const auto onepass_supported = [use_onepass](const std::string& policy,
                                                const std::string& params) {
-    if (!use_onepass) {
-      return false;
-    }
     CacheConfig config;  // the sweep simulates count-based caches
     config.params = params;
-    return MrcEngineSupports(policy, config);
+    return use_onepass && MrcEngineSupports(policy, config);
   };
   const bool fifo_onepass = onepass_supported("fifo", "");
-  std::vector<char> variant_onepass(variants.size(), 0);
+  std::vector<size_t> onepass_vis, brute_vis;
   for (size_t vi = 0; vi < variants.size(); ++vi) {
-    variant_onepass[vi] = onepass_supported(variants[vi].policy, variants[vi].params) ? 1 : 0;
+    (onepass_supported(variants[vi].policy, variants[vi].params) ? onepass_vis : brute_vis)
+        .push_back(vi);
   }
 
-  // Where each cell's per-policy results live after the run.
-  struct Source {
-    size_t unit = static_cast<size_t>(-1);
-    size_t slot = 0;
-  };
-  struct CellMeta {
-    const DatasetProfile* dataset;
-    uint32_t trace_index;
-    bool large;
-    Source fifo;
-    std::vector<Source> variant;  // index-aligned with `variants`
-  };
-  std::vector<SweepUnit> units;
-  std::vector<CellMeta> cells;
-  // Capacities are derived from trace stats on the workers; index-aligned
-  // with `cells`, each slot written by exactly one designated unit (the
-  // one-pass FIFO unit, or the brute unit carrying FIFO).
-  auto capacities = std::make_shared<std::vector<uint64_t>>();
-
-  for (const DatasetProfile& d : AllDatasetProfiles()) {
-    for (uint32_t i = 0; i < d.num_traces; ++i) {
-      // `d` lives in the static profile list, so the generator may hold it.
-      SharedTracePtr shared = SweepEngine::MakeSharedTrace(
-          [&d, i, scale] { return GenerateDatasetTrace(d, i, scale); });
-      const size_t base_cell = cells.size();
-      for (const bool large : size_flags) {
-        CellMeta meta{&d, i, large, {}, {}};
-        meta.variant.resize(variants.size());
-        cells.push_back(std::move(meta));
-      }
-      const std::string trace_label = d.name + "/" + std::to_string(i);
-
-      // One-pass units: one traversal per supported policy covering every
-      // cell size of this trace.
-      const auto add_onepass_unit = [&](const std::string& label, const std::string& policy,
-                                        const std::string& params, bool record_capacities) {
-        SweepUnit unit;
-        unit.label = trace_label + "/" + label + "/mrc";
-        unit.trace = shared;
-        unit.run = [policy, params, size_flags, record_capacities, base_cell,
-                    capacities](const TraceView& view) {
-          std::vector<uint64_t> grid;
-          grid.reserve(size_flags.size());
-          for (const bool large : size_flags) {
-            grid.push_back(SweepCapacity(view.stats().num_objects, large));
-          }
-          if (record_capacities) {
-            for (size_t si = 0; si < grid.size(); ++si) {
-              (*capacities)[base_cell + si] = grid[si];
-            }
-          }
+  SweepSummary summary;
+  summary.threads = SweepWorkers(threads);
+  if (progress) {
+    std::fprintf(stderr, "  [sweep] %zu traces (%zu policies, mrc=%s) on %u threads\n",
+                 SweepTraceList().size(), variants.size() + 1, use_onepass ? "onepass" : "brute",
+                 summary.threads);
+  }
+  // Σ trace length × result streams: a one-pass traversal counts the
+  // brute-force work it replaced, keeping requests/sec comparable across
+  // modes.
+  std::atomic<uint64_t> simulated_requests{0};
+  WallTimer timer;
+  const std::vector<std::vector<SweepCell>> per_trace =
+      ForEachTrace(scale, threads, [&](const SweepTrace& t) {
+        const TraceView view = TraceView::Borrow(t.trace);
+        std::vector<SweepCell> cells;
+        std::vector<uint64_t> grid;
+        for (const bool large : size_flags) {
+          SweepCell cell;
+          cell.dataset = t.dataset;
+          cell.trace_index = t.index;
+          cell.large = large;
+          cell.capacity = SweepCapacity(view.stats().num_objects, large);
+          cell.results.resize(variants.size());
+          cells.push_back(std::move(cell));
+          grid.push_back(cells.back().capacity);
+        }
+        // One-pass policies: one traversal each for the whole size grid.
+        const auto one_pass = [&](const std::string& policy, const std::string& params) {
           CacheConfig config;
           config.params = params;
           return OnePassMrc(view, policy, grid, config).results;
         };
-        units.push_back(std::move(unit));
-        return units.size() - 1;
-      };
-
-      if (fifo_onepass) {
-        const size_t u = add_onepass_unit("fifo", "fifo", "", /*record_capacities=*/true);
-        for (size_t si = 0; si < size_flags.size(); ++si) {
-          cells[base_cell + si].fifo = {u, si};
+        if (fifo_onepass) {
+          const std::vector<SimResult> r = one_pass("fifo", "");
+          for (size_t si = 0; si < cells.size(); ++si) {
+            cells[si].fifo = r[si];
+          }
         }
-      }
-      for (size_t vi = 0; vi < variants.size(); ++vi) {
-        if (!variant_onepass[vi]) {
-          continue;
+        for (const size_t vi : onepass_vis) {
+          const std::vector<SimResult> r = one_pass(variants[vi].policy, variants[vi].params);
+          for (size_t si = 0; si < cells.size(); ++si) {
+            cells[si].results[vi] = r[si];
+          }
         }
-        const size_t u = add_onepass_unit(variants[vi].label, variants[vi].policy,
-                                          variants[vi].params, /*record_capacities=*/false);
-        for (size_t si = 0; si < size_flags.size(); ++si) {
-          cells[base_cell + si].variant[vi] = {u, si};
-        }
-      }
-
-      // Brute units: per (trace, size), carrying FIFO (when not one-pass)
-      // plus every unsupported variant, streamed once through MultiSimulate.
-      std::vector<size_t> brute_vis;
-      for (size_t vi = 0; vi < variants.size(); ++vi) {
-        if (!variant_onepass[vi]) {
-          brute_vis.push_back(vi);
-        }
-      }
-      const bool need_fifo = !fifo_onepass;
-      if (need_fifo || !brute_vis.empty()) {
-        for (size_t si = 0; si < size_flags.size(); ++si) {
-          const bool large = size_flags[si];
-          const size_t cell_index = base_cell + si;
-          SweepUnit unit;
-          unit.label = trace_label + (large ? "/large" : "/small");
-          unit.trace = shared;
-          unit.make_caches = [&variants, brute_vis, large, need_fifo, cell_index,
-                              capacities](const TraceView& trace) {
-            const uint64_t capacity = SweepCapacity(trace.stats().num_objects, large);
-            if (need_fifo) {
-              (*capacities)[cell_index] = capacity;
-            }
-            CacheConfig config;
-            config.capacity = capacity;
-            std::vector<std::unique_ptr<Cache>> caches;
-            caches.reserve(brute_vis.size() + (need_fifo ? 1 : 0));
-            if (need_fifo) {
-              caches.push_back(CreateCache("fifo", config));
-            }
-            for (const size_t vi : brute_vis) {
-              CacheConfig variant_config = config;
-              variant_config.params = variants[vi].params;
-              caches.push_back(CreateCache(variants[vi].policy, variant_config));
-            }
-            return caches;
-          };
-          const size_t u = units.size();
-          size_t slot = 0;
-          if (need_fifo) {
-            cells[cell_index].fifo = {u, slot++};
+        // The rest: per size, FIFO (when not one-pass) plus every other
+        // variant streamed once through MultiSimulate.
+        for (SweepCell& cell : cells) {
+          CacheConfig config;
+          config.capacity = cell.capacity;
+          std::vector<std::unique_ptr<Cache>> caches;
+          if (!fifo_onepass) {
+            caches.push_back(CreateCache("fifo", config));
           }
           for (const size_t vi : brute_vis) {
-            cells[cell_index].variant[vi] = {u, slot++};
+            CacheConfig variant_config = config;
+            variant_config.params = variants[vi].params;
+            caches.push_back(CreateCache(variants[vi].policy, variant_config));
           }
-          units.push_back(std::move(unit));
+          const std::vector<SimResult> r = MultiSimulate(view, caches);
+          size_t slot = 0;
+          if (!fifo_onepass) {
+            cell.fifo = r[slot++];
+          }
+          for (const size_t vi : brute_vis) {
+            cell.results[vi] = r[slot++];
+          }
         }
-      }
-    }
-  }
-  capacities->resize(cells.size(), 0);
-
-  RunnerOptions runner_options;
-  runner_options.num_threads = threads;
-  SweepEngine engine(runner_options);
-  SweepSummary summary;
-  summary.threads = threads != 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
-  if (progress) {
-    std::fprintf(stderr, "  [sweep] %zu units (%zu policies, mrc=%s) on %u threads\n",
-                 units.size(), variants.size() + 1, use_onepass ? "onepass" : "brute",
-                 summary.threads);
-  }
-  WallTimer timer;
-  const std::vector<SweepUnitResult> results = engine.Run(units);
+        simulated_requests += view.size() * (variants.size() + 1) * cells.size();
+        return cells;
+      });
   summary.wall_ms = timer.ElapsedMs();
-  summary.simulated_requests = engine.last_simulated_requests();
+
+  summary.simulated_requests = simulated_requests;
   summary.requests_per_sec =
       summary.wall_ms > 0 ? summary.simulated_requests / (summary.wall_ms / 1000.0) : 0;
 
-  for (const SweepUnitResult& r : results) {
-    if (!r.ok) {
-      std::fprintf(stderr, "  [sweep] unit %s FAILED after %u attempts: %s\n", r.label.c_str(),
-                   r.attempts, r.error.c_str());
-      summary.ok = false;
+  for (const std::vector<SweepCell>& cells : per_trace) {
+    for (const SweepCell& cell : cells) {
+      collect(cell);
     }
-  }
-  for (size_t ci = 0; ci < cells.size(); ++ci) {
-    const CellMeta& meta = cells[ci];
-    const auto source_ok = [&results](const Source& s) {
-      return s.unit != static_cast<size_t>(-1) && results[s.unit].ok;
-    };
-    bool cell_ok = source_ok(meta.fifo);
-    for (const Source& s : meta.variant) {
-      cell_ok = cell_ok && source_ok(s);
-    }
-    if (!cell_ok) {
-      continue;  // summary.ok is already false via the unit loop above
-    }
-    SweepCell cell;
-    cell.dataset = meta.dataset;
-    cell.trace_index = meta.trace_index;
-    cell.large = meta.large;
-    cell.capacity = (*capacities)[ci];
-    cell.fifo = results[meta.fifo.unit].results[meta.fifo.slot];
-    cell.results.reserve(variants.size());
-    for (const Source& s : meta.variant) {
-      cell.results.push_back(results[s.unit].results[s.slot]);
-    }
-    collect(cell);
   }
   return summary;
 }
 
 inline void PrintSweepSummary(const SweepSummary& s) {
-  std::printf("\nsweep: %.0f ms wall, %llu simulated requests, %.2fM req/s, %u threads%s\n",
+  std::printf("\nsweep: %.0f ms wall, %llu simulated requests, %.2fM req/s, %u threads\n",
               s.wall_ms, static_cast<unsigned long long>(s.simulated_requests),
-              s.requests_per_sec / 1e6, s.threads, s.ok ? "" : "  [UNITS FAILED]");
+              s.requests_per_sec / 1e6, s.threads);
+}
+
+// Exit status of a bench body: 0, or 1 with "error: <what>" on stderr when
+// it throws. The figure benches write their BENCH JSON last, so a failed
+// sweep writes none.
+template <typename Fn>
+int RunBenchMain(Fn&& body) {
+  try {
+    body();
+    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace s3fifo

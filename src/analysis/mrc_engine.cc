@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/analysis/mrc.h"
-#include "src/analysis/shards.h"
 #include "src/util/flat_map.h"
 #include "src/util/params.h"
 #include "src/util/stamp_ring.h"
@@ -916,17 +915,13 @@ std::vector<SimResult> RunChunk(const TraceView& view, const DenseIds& dense,
 }  // namespace
 
 MrcMode ParseMrcMode(const std::string& name) {
-  if (name == "auto" || name == "onepass") {
+  if (name == "onepass") {
     return MrcMode::kAuto;
   }
   if (name == "brute") {
     return MrcMode::kBrute;
   }
-  if (name == "shards") {
-    return MrcMode::kShards;
-  }
-  throw std::invalid_argument("unknown MRC mode '" + name +
-                              "' (expected auto|onepass|brute|shards)");
+  throw std::invalid_argument("unknown MRC mode '" + name + "' (expected onepass|brute)");
 }
 
 bool MrcEngineSupports(const std::string& policy, const CacheConfig& config) {
@@ -995,19 +990,8 @@ MrcCurve OnePassMrc(const TraceView& view, const std::string& policy,
 
 MrcCurve ComputeMrcCurve(const TraceView& view, const std::string& policy,
                          const std::vector<uint64_t>& sizes, const MrcOptions& options) {
-  switch (options.mode) {
-    case MrcMode::kOnePass:
-      return OnePassMrc(view, policy, sizes, options.base_config, options.warmup_requests);
-    case MrcMode::kShards:
-      return ShardsMrc(view, policy, sizes, options.shards_rate, options.base_config,
-                       options.warmup_requests);
-    case MrcMode::kAuto:
-      if (MrcEngineSupports(policy, options.base_config)) {
-        return OnePassMrc(view, policy, sizes, options.base_config, options.warmup_requests);
-      }
-      [[fallthrough]];
-    case MrcMode::kBrute:
-      break;
+  if (options.mode == MrcMode::kAuto && MrcEngineSupports(policy, options.base_config)) {
+    return OnePassMrc(view, policy, sizes, options.base_config, options.warmup_requests);
   }
   MrcCurve curve;
   curve.policy = policy;

@@ -28,7 +28,8 @@
 // and the small_lru/main_lru/main_sieve ablations fall back to brute force).
 //
 // For policies outside the family, shards.h's streaming ShardsMrc provides
-// an approximate curve from a spatial sample; ComputeMrcCurve dispatches.
+// an approximate curve from a spatial sample (a direct call; ComputeMrcCurve
+// only dispatches between the exact paths).
 #ifndef SRC_ANALYSIS_MRC_ENGINE_H_
 #define SRC_ANALYSIS_MRC_ENGINE_H_
 
@@ -45,13 +46,11 @@ namespace s3fifo {
 // the (policy, config) is supported, brute force otherwise — the bench
 // binaries expose it as --mrc=onepass|brute.
 enum class MrcMode {
-  kAuto,     // one-pass when supported, else brute force
-  kOnePass,  // one-pass only; throws if the policy is unsupported
-  kBrute,    // one full simulation per size (the reference path)
-  kShards,   // streaming SHARDS sample (approximate, any policy)
+  kAuto,   // one-pass when supported, else brute force
+  kBrute,  // one full simulation per size (the reference path)
 };
 
-// Parses "auto"/"onepass"/"brute"/"shards"; throws std::invalid_argument on
+// Parses "onepass" (kAuto) and "brute"; throws std::invalid_argument on
 // anything else.
 MrcMode ParseMrcMode(const std::string& name);
 
@@ -81,10 +80,9 @@ struct MrcOptions {
   MrcMode mode = MrcMode::kAuto;
   CacheConfig base_config{1, true, "", 42};
   uint64_t warmup_requests = 0;
-  double shards_rate = 0.01;  // sampling rate for MrcMode::kShards
 };
 
-// Mode dispatcher: one-pass / brute / SHARDS per `options.mode`.
+// Mode dispatcher: one-pass (when supported) or brute per `options.mode`.
 MrcCurve ComputeMrcCurve(const TraceView& view, const std::string& policy,
                          const std::vector<uint64_t>& sizes, const MrcOptions& options = {});
 

@@ -294,11 +294,9 @@ TEST(MrcEngineTest, OnePassThrowsOnUnsupportedOrBadGrid) {
 }
 
 TEST(MrcEngineTest, ParseMrcModeRoundTrip) {
-  EXPECT_EQ(ParseMrcMode("auto"), MrcMode::kAuto);
   EXPECT_EQ(ParseMrcMode("onepass"), MrcMode::kAuto);
   EXPECT_EQ(ParseMrcMode("brute"), MrcMode::kBrute);
-  EXPECT_EQ(ParseMrcMode("shards"), MrcMode::kShards);
-  EXPECT_THROW(ParseMrcMode("fast"), std::invalid_argument);
+  EXPECT_THROW(ParseMrcMode("shards"), std::invalid_argument);
 }
 
 TEST(MrcEngineTest, AutoModeFallsBackToBruteForUnsupportedPolicies) {

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,14 +62,6 @@ TEST(MrcGoldenTest, Fig06Fig07HitCountFingerprints) {
   for (const GoldenCase& c : cases) {
     CheckGolden(c);
   }
-}
-
-// The sweep's cells are exact; it refuses the approximate SHARDS mode
-// rather than running it as one-pass under that name.
-TEST(MrcGoldenTest, SweepRejectsShardsMode) {
-  EXPECT_THROW(RunMissRatioSweep(0.01, {}, /*include_small=*/false, [](const SweepCell&) {},
-                                 /*threads=*/1, /*progress=*/false, MrcMode::kShards),
-               std::invalid_argument);
 }
 
 }  // namespace
