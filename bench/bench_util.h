@@ -41,7 +41,7 @@ inline double BenchScale() {
 struct BenchOptions {
   unsigned threads = 0;  // sweep parallelism; 0 = hardware concurrency
   // MRC computation mode for the miss-ratio sweeps: "onepass" (default;
-  // FIFO-family policies use the exact one-pass engine) or "brute" (one
+  // the FIFO family and LRU use the exact one-pass engine) or "brute" (one
   // simulation per size — the escape hatch / reference path). Parsed by
   // ParseMrcMode in src/analysis/mrc_engine.h at the call site.
   std::string mrc = "onepass";

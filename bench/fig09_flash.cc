@@ -49,7 +49,9 @@ bool Run() {
                 flash_bytes / 1048576.0);
     std::printf("%-22s %9s %12s %10s\n", "scheme", "dram", "write-bytes", "miss-ratio");
 
-    const uint64_t segment_bytes = 256 * 1024;
+    // 256 KB segments, but at least 16 of them: the log's geometry must not
+    // shrink to a few segments at small scales.
+    const uint64_t segment_bytes = std::clamp<uint64_t>(flash_bytes / 16, 1, 256 * 1024);
     for (const double dram_frac : {0.001, 0.01, 0.10}) {
       const uint64_t dram_bytes =
           std::max<uint64_t>(static_cast<uint64_t>(flash_bytes * dram_frac), 16 << 10);

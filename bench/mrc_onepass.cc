@@ -4,12 +4,10 @@
 // twice on each trace — brute force (one simulation per grid size, the
 // pre-engine default) and one-pass (a single traversal for the whole grid)
 // — and reports the wall-clock speedup and the maximum absolute difference
-// between the two curves. For the exact FIFO-family replicas the error
-// column must print 0; it is the acceptance gate for --mrc=onepass being the
-// bench default, and the binary exits 1 when any exact row's per-size counts
-// (requests, hits, misses, bytes) differ from brute force. A SHARDS row shows
-// the streaming sampled estimator against brute force for a policy the
-// engine does NOT support (lru), where sampling is the only one-pass option.
+// between the two curves. The engine is exact, so the error column must
+// print 0; it is the acceptance gate for --mrc=onepass being the bench
+// default, and the binary exits 1 when any row's per-size counts
+// (requests, hits, misses, bytes) differ from brute force.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -17,9 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/sweep.h"
-#include "src/analysis/mrc.h"
 #include "src/analysis/mrc_engine.h"
-#include "src/analysis/shards.h"
 #include "src/trace/trace_view.h"
 #include "src/workload/dataset_profiles.h"
 #include "src/workload/zipf_workload.h"
@@ -56,7 +52,7 @@ bool SameCounts(const SimResult& a, const SimResult& b) {
          a.bytes_requested == b.bytes_requested && a.bytes_missed == b.bytes_missed;
 }
 
-// Returns false when an exact row's counts differ from brute force.
+// Returns false when any row's counts differ from brute force.
 bool Run() {
   PrintHeader("One-pass MRC engine: speedup and exactness vs brute force",
               "engine acceptance report (not a paper figure)");
@@ -77,12 +73,13 @@ bool Run() {
     traces.push_back({name, GenerateDatasetTrace(DatasetByName(name), 0, scale * 0.25)});
   }
 
-  const std::vector<std::string> policies = {"fifo", "clock", "sieve", "s3fifo", "s3fifo-d"};
+  const std::vector<std::string> policies = {"fifo", "clock", "sieve", "lru", "s3fifo",
+                                             "s3fifo-d"};
   std::vector<JsonFields> json_rows;
   double min_speedup = 1e300;
   double max_speedup = 0.0;
   double log_speedup_sum = 0.0;
-  int exact_rows = 0;
+  int rows = 0;
   double max_abs_err_overall = 0.0;
   bool counts_match = true;
 
@@ -124,8 +121,8 @@ bool Run() {
 
       double max_abs_err = 0.0;
       for (size_t i = 0; i < grid.size(); ++i) {
-        max_abs_err =
-            std::max(max_abs_err, std::fabs(onepass.miss_ratios[i] - brute[i].MissRatio()));
+        max_abs_err = std::max(
+            max_abs_err, std::fabs(onepass.results[i].MissRatio() - brute[i].MissRatio()));
         if (!SameCounts(onepass.results[i], brute[i])) {
           counts_match = false;
           std::fprintf(stderr, "MISMATCH %s %s size=%llu: onepass misses %llu, brute %llu\n",
@@ -138,7 +135,7 @@ bool Run() {
       min_speedup = std::min(min_speedup, speedup);
       max_speedup = std::max(max_speedup, speedup);
       log_speedup_sum += std::log(speedup);
-      ++exact_rows;
+      ++rows;
       max_abs_err_overall = std::max(max_abs_err_overall, max_abs_err);
       std::printf("%-10s %-9s %5zu %10.1f %10.1f %7.1fx %12.3g\n", nt.name.c_str(),
                   policy.c_str(), grid.size(), brute_ms, onepass_ms, speedup, max_abs_err);
@@ -150,46 +147,14 @@ bool Run() {
                               .Add("brute_ms", brute_ms)
                               .Add("onepass_ms", onepass_ms)
                               .Add("speedup", speedup)
-                              .Add("max_abs_err", max_abs_err)
-                              .Add("exact", onepass.exact));
-    }
-
-    // SHARDS: the sampled streaming estimator for a policy the exact engine
-    // does not cover. Error is expected to be nonzero but small.
-    {
-      const double rate = 0.01;
-      const WallTimer brute_timer;
-      const std::vector<SimResult> brute = ComputeMrcResults(view, "lru", grid, config);
-      const double brute_ms = brute_timer.ElapsedMs();
-      const WallTimer shards_timer;
-      const MrcCurve sampled = ShardsMrc(view, "lru", grid, rate, config);
-      const double shards_ms = shards_timer.ElapsedMs();
-      double max_abs_err = 0.0;
-      for (size_t i = 0; i < grid.size(); ++i) {
-        max_abs_err =
-            std::max(max_abs_err, std::fabs(sampled.miss_ratios[i] - brute[i].MissRatio()));
-      }
-      std::printf("%-10s %-9s %5zu %10.1f %10.1f %7.1fx %12.3g  (shards rate=%.2f)\n",
-                  nt.name.c_str(), "lru", grid.size(), brute_ms, shards_ms,
-                  brute_ms / std::max(shards_ms, 1e-6), max_abs_err, rate);
-      json_rows.push_back(JsonFields()
-                              .Add("trace", nt.name)
-                              .Add("policy", "lru")
-                              .Add("mode", "shards")
-                              .Add("rate", rate)
-                              .Add("grid_points", static_cast<uint64_t>(grid.size()))
-                              .Add("brute_ms", brute_ms)
-                              .Add("onepass_ms", shards_ms)
-                              .Add("speedup", brute_ms / std::max(shards_ms, 1e-6))
-                              .Add("max_abs_err", max_abs_err)
-                              .Add("exact", false));
+                              .Add("max_abs_err", max_abs_err));
     }
   }
 
-  const double geomean_speedup = std::exp(log_speedup_sum / std::max(exact_rows, 1));
+  const double geomean_speedup = std::exp(log_speedup_sum / std::max(rows, 1));
   std::printf(
-      "\nexact-engine speedup on the fig06 size grid: %.1fx geometric mean "
-      "(min %.1fx, max %.1fx); max |error| across exact rows: %g\n",
+      "\none-pass speedup on the fig06 size grid: %.1fx geometric mean "
+      "(min %.1fx, max %.1fx); max |error| across rows: %g\n",
       geomean_speedup, min_speedup, max_speedup, max_abs_err_overall);
   WriteBenchJson("mrc",
                  JsonFields()

@@ -1,27 +1,57 @@
-// Miss-ratio-curve profiler: exact curves for selected policies plus the
-// SHARDS-sampled approximation (§6.2.3) with its speedup.
+// Miss-ratio-curve profiler: exact curves for selected policies on one
+// dataset-like trace, each from a single trace traversal of the one-pass
+// MRC engine (the FIFO family's per-size replicas, LRU's recency stack).
 //
-// FIFO-family curves come from the one-pass MRC engine (the whole size grid
-// in a single trace traversal); policies the engine does not cover fall back
-// to one simulation per size, and the SHARDS row streams a spatial sample
-// through scaled-down caches in one pass.
+//   $ ./mrc_profiler [DATASET]   (default: cloudphysics)
+//   $ ./mrc_profiler --help      (usage and the dataset names)
 //
-//   $ ./mrc_profiler [dataset-name]   (default: cloudphysics)
+// Exits 2 on an unknown dataset or extra arguments.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "src/analysis/mrc.h"
 #include "src/analysis/mrc_engine.h"
-#include "src/analysis/shards.h"
 #include "src/trace/trace_view.h"
 #include "src/workload/dataset_profiles.h"
 
+namespace {
+
+void PrintUsage(std::FILE* out, const char* argv0) {
+  std::fprintf(out, "usage: %s [DATASET]   (default: cloudphysics)\ndatasets:", argv0);
+  for (const s3fifo::DatasetProfile& d : s3fifo::AllDatasetProfiles()) {
+    std::fprintf(out, " %s", d.name.c_str());
+  }
+  std::fprintf(out, "\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace s3fifo;
-  const std::string dataset = argc > 1 ? argv[1] : "cloudphysics";
+  const std::string arg = argc > 1 ? argv[1] : "cloudphysics";
+  if (arg == "--help" || arg == "-h") {
+    PrintUsage(stdout, argv[0]);
+    return 0;
+  }
+  if (argc > 2) {
+    PrintUsage(stderr, argv[0]);
+    return 2;
+  }
+  const DatasetProfile* profile = nullptr;
+  for (const DatasetProfile& d : AllDatasetProfiles()) {
+    if (d.name == arg) {
+      profile = &d;
+    }
+  }
+  if (profile == nullptr) {
+    std::fprintf(stderr, "unknown dataset '%s'\n", arg.c_str());
+    PrintUsage(stderr, argv[0]);
+    return 2;
+  }
 
-  Trace trace = GenerateDatasetTrace(DatasetByName(dataset), 0, 1.0);
+  Trace trace = GenerateDatasetTrace(*profile, 0, 1.0);
   const TraceView view = TraceView::Borrow(trace);
   const uint64_t footprint = trace.Stats().num_objects;
   std::vector<uint64_t> sizes;
@@ -29,7 +59,7 @@ int main(int argc, char** argv) {
     sizes.push_back(std::max<uint64_t>(static_cast<uint64_t>(footprint * f), 10));
   }
 
-  std::printf("%s-like trace: %lu requests, %lu objects\n\n", dataset.c_str(),
+  std::printf("%s-like trace: %lu requests, %lu objects\n\n", arg.c_str(),
               (unsigned long)trace.size(), (unsigned long)footprint);
   std::printf("%-10s", "size");
   for (uint64_t s : sizes) {
@@ -42,28 +72,13 @@ int main(int argc, char** argv) {
   config.count_based = true;
   for (const char* policy : {"fifo", "sieve", "s3fifo", "lru"}) {
     const auto t0 = std::chrono::steady_clock::now();
-    // kAuto: one pass over the trace for the FIFO family, per-size
-    // simulations for lru.
-    const MrcCurve curve = ComputeMrcCurve(view, policy, sizes, {MrcMode::kAuto, config});
+    const MrcCurve curve = OnePassMrc(view, policy, sizes, config);
     const auto t1 = std::chrono::steady_clock::now();
     std::printf("%-10s", policy);
-    for (double mr : curve.miss_ratios) {
-      std::printf(" %8.4f", mr);
+    for (const SimResult& r : curve.results) {
+      std::printf(" %8.4f", r.MissRatio());
     }
-    std::printf("  (%s, %.0f ms)\n", MrcEngineSupports(policy, config) ? "one-pass" : "per-size",
-                std::chrono::duration<double, std::milli>(t1 - t0).count());
+    std::printf("  (%.0f ms)\n", std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-
-  // SHARDS at 10% sampling: near-identical lru curve from one pass over the
-  // sampled stream.
-  const auto t0 = std::chrono::steady_clock::now();
-  const MrcCurve sampled = ShardsMrc(view, "lru", sizes, 0.1, config);
-  const auto t1 = std::chrono::steady_clock::now();
-  std::printf("%-10s", "lru~shards");
-  for (double mr : sampled.miss_ratios) {
-    std::printf(" %8.4f", mr);
-  }
-  std::printf("  (sampled, %.0f ms)\n",
-              std::chrono::duration<double, std::milli>(t1 - t0).count());
   return 0;
 }

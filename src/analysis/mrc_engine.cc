@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/analysis/mrc.h"
+#include "src/core/cache_factory.h"
 #include "src/util/flat_map.h"
 #include "src/util/params.h"
 #include "src/util/stamp_ring.h"
@@ -826,6 +826,98 @@ class S3FifoEngine {
   std::vector<PerSize> per_;
 };
 
+// LRU is a stack algorithm (Mattson et al.): every size's cache is a prefix
+// of one recency stack, so a request hits at size k iff fewer than the
+// prefix length of more recently used objects sit above it. The stack is a
+// Fenwick tree of marks over access times, one live mark per object at its
+// last access, so an object's depth is the count of marks after its own, at
+// O(log n) per request for the whole grid.
+//
+// Deletes break plain Mattson: LruCache::Remove leaves a free slot, and an
+// object pushed out of the prefix by an earlier miss does not come back (at
+// C=1, `a, b, del b, a` misses the second a). So each size keeps its prefix
+// length limit_k = C_k - h_k, where h_k counts the holes: a delete of an
+// object resident at size k opens one, and a miss at size k fills one
+// instead of evicting. A delete also drops the object's mark. An object
+// deleted while resident at no size keeps its mark; it has then been evicted
+// at every size, so every size is full, and a mark below every prefix never
+// enters one — it only deepens objects that are already out of every cache.
+class LruEngine {
+ public:
+  LruEngine(const std::vector<uint64_t>& caps, uint64_t num_requests, uint32_t num_objects)
+      : core_(caps.size()),
+        caps_(caps),
+        limit_(caps),
+        tree_(num_requests + 1, 0),
+        last_(num_objects, kUnmarked) {}
+
+  EngineCore& core() { return core_; }
+
+  uint64_t ResidentMask(uint32_t oi) const {
+    const uint32_t at = last_[oi];
+    if (at == kUnmarked) {
+      return 0;
+    }
+    uint64_t newer = marks_;  // marks after `at`: the object's depth in the stack
+    for (uint32_t i = at; i > 0; i &= i - 1) {
+      newer -= tree_[i];
+    }
+    uint64_t mask = 0;
+    for (size_t k = 0; k < limit_.size(); ++k) {
+      mask |= uint64_t{newer < limit_[k]} << k;
+    }
+    return mask;
+  }
+
+  void PrefetchWords(uint32_t oi) const { __builtin_prefetch(&last_[oi]); }
+  void PrefetchVictim(uint32_t /*oi*/, int /*k*/) const {}
+  void OnHit(uint32_t /*oi*/, uint64_t /*mask*/) {}
+
+  // Evicting the prefix's last object is implicit: the object moves to the
+  // top in OnAccess. Only a hole changes the prefix length.
+  void OnMiss(uint32_t /*oi*/, int k) {
+    if (limit_[k] < caps_[k]) {
+      ++limit_[k];
+    }
+  }
+
+  void OnDelete(uint32_t oi, uint64_t mask) {
+    Add(last_[oi], -1);
+    last_[oi] = kUnmarked;
+    for (; mask != 0; mask &= mask - 1) {
+      --limit_[std::countr_zero(mask)];
+    }
+  }
+
+  // Once per non-delete request, after the per-size work: the object's mark
+  // moves to the current time, the top of the stack.
+  void OnAccess(uint32_t oi) {
+    if (last_[oi] != kUnmarked) {
+      Add(last_[oi], -1);
+    }
+    last_[oi] = ++now_;
+    Add(now_, +1);
+  }
+
+ private:
+  static constexpr uint32_t kUnmarked = 0;  // times start at 1
+
+  void Add(uint32_t at, int delta) {
+    marks_ += delta;
+    for (size_t i = at; i < tree_.size(); i += i & -i) {
+      tree_[i] += delta;
+    }
+  }
+
+  EngineCore core_;
+  std::vector<uint64_t> caps_;
+  std::vector<uint64_t> limit_;  // [k] prefix length: capacity minus open holes
+  std::vector<uint32_t> tree_;   // Fenwick tree over access times 1..n
+  std::vector<uint32_t> last_;   // [oi] time of the live mark, kUnmarked if none
+  uint64_t marks_ = 0;
+  uint32_t now_ = 0;
+};
+
 // The shared traversal: per-size work only on the miss set, no hash probe
 // at all (ids were interned up front by InternTrace). Mirrors the metric
 // rules of MultiSimulate's block loop exactly (deletes and warmup excluded
@@ -878,6 +970,9 @@ std::vector<SimResult> DrivePass(const TraceView& view, const uint32_t* dense, E
       }
       engine.OnMiss(oi, k);
     }
+    if constexpr (requires { engine.OnAccess(oi); }) {
+      engine.OnAccess(oi);
+    }
   }
   std::vector<SimResult> results(num_sizes);
   for (size_t k = 0; k < num_sizes; ++k) {
@@ -909,6 +1004,10 @@ std::vector<SimResult> RunChunk(const TraceView& view, const DenseIds& dense,
     S3FifoEngine engine(caps, config, policy == "s3fifo-d", dense.num_objects);
     return DrivePass(view, dense.oi.data(), engine, caps, warmup_requests);
   }
+  if (policy == "lru") {
+    LruEngine engine(caps, view.size(), dense.num_objects);
+    return DrivePass(view, dense.oi.data(), engine, caps, warmup_requests);
+  }
   throw std::invalid_argument("one-pass MRC engine does not support policy '" + policy + "'");
 }
 
@@ -928,7 +1027,7 @@ bool MrcEngineSupports(const std::string& policy, const CacheConfig& config) {
   if (!config.count_based) {
     return false;  // byte-sized objects break the one-slot-per-object layout
   }
-  if (policy == "fifo" || policy == "clock" || policy == "sieve") {
+  if (policy == "fifo" || policy == "clock" || policy == "sieve" || policy == "lru") {
     return true;
   }
   if (policy == "s3fifo" || policy == "s3fifo-d") {
@@ -949,7 +1048,6 @@ MrcCurve OnePassMrc(const TraceView& view, const std::string& policy,
   }
   MrcCurve curve;
   curve.policy = policy;
-  curve.exact = true;
   curve.sizes = sizes;
   if (sizes.empty()) {
     return curve;
@@ -978,32 +1076,29 @@ MrcCurve OnePassMrc(const TraceView& view, const std::string& policy,
   }
 
   curve.results.reserve(sizes.size());
-  curve.miss_ratios.reserve(sizes.size());
   for (const uint64_t size : sizes) {
     const size_t at = static_cast<size_t>(
         std::lower_bound(unique_sizes.begin(), unique_sizes.end(), size) - unique_sizes.begin());
     curve.results.push_back(by_unique[at]);
-    curve.miss_ratios.push_back(by_unique[at].MissRatio());
   }
   return curve;
 }
 
-MrcCurve ComputeMrcCurve(const TraceView& view, const std::string& policy,
-                         const std::vector<uint64_t>& sizes, const MrcOptions& options) {
-  if (options.mode == MrcMode::kAuto && MrcEngineSupports(policy, options.base_config)) {
-    return OnePassMrc(view, policy, sizes, options.base_config, options.warmup_requests);
+std::vector<SimResult> ComputeMrcResults(const TraceView& view, const std::string& policy,
+                                         const std::vector<uint64_t>& sizes,
+                                         const CacheConfig& base_config,
+                                         uint64_t warmup_requests) {
+  std::vector<SimResult> results;
+  results.reserve(sizes.size());
+  SimOptions options;
+  options.warmup_requests = warmup_requests;
+  for (uint64_t size : sizes) {
+    CacheConfig config = base_config;
+    config.capacity = size;
+    auto cache = CreateCache(policy, config);
+    results.push_back(Simulate(view, *cache, options));
   }
-  MrcCurve curve;
-  curve.policy = policy;
-  curve.exact = true;
-  curve.sizes = sizes;
-  curve.results =
-      ComputeMrcResults(view, policy, sizes, options.base_config, options.warmup_requests);
-  curve.miss_ratios.reserve(curve.results.size());
-  for (const SimResult& r : curve.results) {
-    curve.miss_ratios.push_back(r.MissRatio());
-  }
-  return curve;
+  return results;
 }
 
 }  // namespace s3fifo

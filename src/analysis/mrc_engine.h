@@ -1,35 +1,31 @@
-// One-pass miss-ratio-curve engine for the FIFO-inclusive family.
+// Exact miss-ratio curves: miss ratio as a function of cache size for a
+// given policy, computed either by the one-pass engine or by one full
+// Simulate() per size (ComputeMrcResults, the brute-force reference).
 //
-// FIFO is not a stack algorithm — the Belady anomaly is real for it, so an
-// MRC cannot be read off a reuse-distance histogram the way LRU's can
-// (Mattson et al.). What the FIFO family *does* admit is cheap simultaneous
-// simulation: the per-request cost of a brute-force sweep is dominated by
-// the hash lookup (one FlatMap probe per request per size — see ROADMAP
-// PR 1), while the per-size queue mutations are a handful of array writes.
-// This engine therefore simulates every size of the grid in a single trace
+// The one-pass engine simulates every size of the grid in a single trace
 // traversal sharing ONE id lookup per request:
 //
 //   * objects are interned once into a dense index (id -> oi);
-//   * residency per size is a bitmask word per object, so the hit set for
-//     all sizes falls out of one load (grids wider than 64 sizes run in
-//     chunks of 64, one traversal per chunk);
-//   * each size's queues are array-backed doubly-linked lists over the
-//     dense indices (prev = toward the head/newer, next = toward the
-//     tail/older), replicating fifo/clock/sieve/s3fifo/s3fifo-d eviction
-//     decision-for-decision — including clock's counter reinsertion,
-//     sieve's hand walk, and S3-FIFO's small/main/ghost machinery with the
-//     adaptive variant's shadow ghosts and rebalancing.
+//   * residency per size is a bitmask over the grid, so the hit set for all
+//     sizes falls out of one load (grids wider than 64 sizes run in chunks
+//     of 64, one traversal per chunk);
+//   * FIFO is not a stack algorithm (Belady's anomaly is real for it), so
+//     fifo/clock/sieve/s3fifo/s3fifo-d keep each size's queues as rings over
+//     the dense indices and replicate eviction decision-for-decision,
+//     including clock's counter reinsertion, sieve's hand walk, and
+//     S3-FIFO's small/main/ghost machinery with the adaptive variant's
+//     shadow ghosts and rebalancing;
+//   * LRU is a stack algorithm (Mattson et al.), so one recency stack kept
+//     as a Fenwick tree serves every size, with a per-size hole count that
+//     keeps it exact under deletes.
 //
 // The result is EXACT: per-size hit/miss/byte counts equal brute-force
 // Simulate() for every supported policy (the differential test wall in
 // tests/analysis/mrc_engine_test.cc pins this). Supported configurations
-// are count-based caches of: fifo; clock (any `bits`); sieve; s3fifo and
-// s3fifo-d with the exact ghost queue and FIFO queue types (ghost_type=table
-// and the small_lru/main_lru/main_sieve ablations fall back to brute force).
-//
-// For policies outside the family, shards.h's streaming ShardsMrc provides
-// an approximate curve from a spatial sample (a direct call; ComputeMrcCurve
-// only dispatches between the exact paths).
+// are count-based caches of: fifo; clock (any `bits`); sieve; lru; s3fifo
+// and s3fifo-d with the exact ghost queue and FIFO queue types
+// (ghost_type=table and the small_lru/main_lru/main_sieve ablations, like
+// every other policy, take the brute-force path).
 #ifndef SRC_ANALYSIS_MRC_ENGINE_H_
 #define SRC_ANALYSIS_MRC_ENGINE_H_
 
@@ -55,11 +51,8 @@ enum class MrcMode {
 MrcMode ParseMrcMode(const std::string& name);
 
 struct MrcCurve {
-  std::vector<uint64_t> sizes;      // as requested (order and duplicates kept)
-  std::vector<SimResult> results;   // index-aligned full counts per size
-  std::vector<double> miss_ratios;  // index-aligned; == results[i].MissRatio()
-                                    // except for bias-corrected SHARDS curves
-  bool exact = false;               // true for one-pass and brute curves
+  std::vector<uint64_t> sizes;     // as requested (order and duplicates kept)
+  std::vector<SimResult> results;  // index-aligned full counts per size
   std::string policy;
 };
 
@@ -76,15 +69,12 @@ MrcCurve OnePassMrc(const TraceView& view, const std::string& policy,
                     const CacheConfig& base_config = {1, true, "", 42},
                     uint64_t warmup_requests = 0);
 
-struct MrcOptions {
-  MrcMode mode = MrcMode::kAuto;
-  CacheConfig base_config{1, true, "", 42};
-  uint64_t warmup_requests = 0;
-};
-
-// Mode dispatcher: one-pass (when supported) or brute per `options.mode`.
-MrcCurve ComputeMrcCurve(const TraceView& view, const std::string& policy,
-                         const std::vector<uint64_t>& sizes, const MrcOptions& options = {});
+// The brute-force reference: one full Simulate() per size, zero-copy over
+// the view, with the same warmup rule as OnePassMrc. Any registered policy.
+std::vector<SimResult> ComputeMrcResults(const TraceView& view, const std::string& policy,
+                                         const std::vector<uint64_t>& sizes,
+                                         const CacheConfig& base_config = {1, true, "", 42},
+                                         uint64_t warmup_requests = 0);
 
 }  // namespace s3fifo
 

@@ -1,12 +1,9 @@
 #include "src/check/invariants.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
-#include "src/analysis/mrc.h"
 #include "src/analysis/mrc_engine.h"
-#include "src/analysis/shards.h"
 #include "src/core/cache_factory.h"
 #include "src/policies/s3fifo.h"
 #include "src/sim/simulator.h"
@@ -285,33 +282,6 @@ std::string CheckMrcGridRefinement(std::string_view policy, const CacheConfig& c
       out << name << " grid refinement changed the result at size " << base[i] << ": coarse(hits="
           << a.hits << " misses=" << a.misses << ") vs refined(hits=" << b.hits
           << " misses=" << b.misses << ")";
-      return out.str();
-    }
-  }
-  return "";
-}
-
-std::string CheckShardsConvergence(std::string_view policy, const CacheConfig& config,
-                                   const std::vector<Request>& requests,
-                                   const std::vector<uint64_t>& sizes, double rate,
-                                   double tolerance) {
-  const std::string name(policy);
-  const Trace trace(requests, "mrc-shards");
-  const TraceView view = TraceView::Borrow(trace);
-  MrcOptions exact_options;
-  exact_options.mode = MrcMode::kAuto;  // one-pass when supported, else brute
-  exact_options.base_config = config;
-  const MrcCurve exact = ComputeMrcCurve(view, name, sizes, exact_options);
-  const MrcCurve sampled = ShardsMrc(view, name, sizes, rate, config);
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    const double err = std::fabs(sampled.miss_ratios[i] - exact.miss_ratios[i]);
-    const bool violated = rate >= 1.0 ? sampled.miss_ratios[i] != exact.miss_ratios[i]
-                                      : err > tolerance;
-    if (violated) {
-      std::ostringstream out;
-      out << name << " SHARDS(rate=" << rate << ") off the exact curve at size " << sizes[i]
-          << ": sampled " << sampled.miss_ratios[i] << " vs exact " << exact.miss_ratios[i]
-          << " (|err| " << err << ", tolerance " << (rate >= 1.0 ? 0.0 : tolerance) << ")";
       return out.str();
     }
   }

@@ -23,9 +23,7 @@
 //     makes strict monotonicity genuinely false — the slack bounds it);
 //   * refining the size grid never changes the results at the original
 //     sizes (each size simulates independently; dedup/chunking must not
-//     leak state across grid shapes);
-//   * SHARDS converges to the exact curve as the sampling rate approaches
-//     1 (and is exactly equal at rate == 1).
+//     leak state across grid shapes).
 #ifndef SRC_CHECK_INVARIANTS_H_
 #define SRC_CHECK_INVARIANTS_H_
 
@@ -100,14 +98,6 @@ std::string CheckMrcMonotone(std::string_view policy, const CacheConfig& config,
 std::string CheckMrcGridRefinement(std::string_view policy, const CacheConfig& config,
                                    const std::vector<Request>& requests,
                                    const std::vector<uint64_t>& sizes);
-
-// SHARDS: at rate == 1.0 the streamed curve must equal the exact one; at
-// lower rates each point must be within `tolerance` of the exact miss
-// ratio. Uses the one-pass engine for the exact reference when supported.
-std::string CheckShardsConvergence(std::string_view policy, const CacheConfig& config,
-                                   const std::vector<Request>& requests,
-                                   const std::vector<uint64_t>& sizes, double rate,
-                                   double tolerance);
 
 }  // namespace check
 }  // namespace s3fifo

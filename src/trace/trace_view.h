@@ -1,16 +1,13 @@
-// A cheap-to-copy, read-only handle on a heap Trace.
+// A cheap-to-copy, read-only handle on a Trace: one borrowed pointer.
 //
 // The simulator layers take a TraceView instead of a Trace so that one
-// trace can be shared by many concurrent consumers: a borrowed view leaves
-// the trace's lifetime to the caller, and a FromTrace view shares ownership,
-// so the trace lives as long as any copy of the view. The hot loops read the
+// trace can be shared by many concurrent consumers; the caller keeps the
+// trace alive for as long as any copy of the view. The hot loops read the
 // contiguous Request array through AsRequests().
 #ifndef SRC_TRACE_TRACE_VIEW_H_
 #define SRC_TRACE_TRACE_VIEW_H_
 
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "src/trace/trace.h"
 
@@ -23,13 +20,7 @@ class TraceView {
 
   // Borrows `trace` without taking ownership; the caller guarantees the
   // trace outlives the view (the Simulate(const Trace&...) adapters).
-  static TraceView Borrow(const Trace& trace) { return TraceView(&trace, nullptr); }
-
-  // Shares ownership of a heap trace; the view keeps it alive.
-  static TraceView FromTrace(std::shared_ptr<const Trace> trace) {
-    const Trace* raw = trace.get();
-    return TraceView(raw, std::move(trace));
-  }
+  static TraceView Borrow(const Trace& trace) { return TraceView(&trace); }
 
   size_t size() const { return trace_ == nullptr ? 0 : trace_->size(); }
   bool empty() const { return size() == 0; }
@@ -46,11 +37,9 @@ class TraceView {
   }
 
  private:
-  TraceView(const Trace* trace, std::shared_ptr<const Trace> owner)
-      : trace_(trace), owner_(std::move(owner)) {}
+  explicit TraceView(const Trace* trace) : trace_(trace) {}
 
   const Trace* trace_ = nullptr;
-  std::shared_ptr<const Trace> owner_;
 };
 
 }  // namespace s3fifo

@@ -58,6 +58,8 @@ TEST(MrcGoldenTest, Fig06Fig07HitCountFingerprints) {
       {"msr", "s3fifo-d", 8932, 4552},
       {"msr", "clock", 9667, 3256},
       {"msr", "sieve", 7342, 4433},
+      {"cdn1", "lru", 20234, 15839},
+      {"msr", "lru", 9704, 3137},
   };
   for (const GoldenCase& c : cases) {
     CheckGolden(c);

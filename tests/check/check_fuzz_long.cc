@@ -140,7 +140,7 @@ TEST(LongFuzzTest, MrcEngineDifferentialFuzz) {
   const uint64_t total = RequestsPerPolicy();
   const uint64_t per_seed = std::max<uint64_t>(total / 20, 1000);
   const std::vector<uint64_t> grid = {8, 24, 64, 200};
-  const std::string policies[] = {"fifo", "clock", "sieve", "s3fifo", "s3fifo-d"};
+  const std::string policies[] = {"fifo", "clock", "sieve", "lru", "s3fifo", "s3fifo-d"};
   for (const std::string& policy : policies) {
     for (uint64_t round = 0; round < 10; ++round) {
       FuzzConfig fc;

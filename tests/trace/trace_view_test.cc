@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <optional>
-
 #include "src/workload/zipf_workload.h"
 
 namespace s3fifo {
@@ -56,26 +53,6 @@ TEST(TraceViewTest, BorrowedHeapViewMatchesTrace) {
     EXPECT_EQ(reqs[i].time, trace[i].time) << i;
     EXPECT_EQ(reqs[i].next_access, trace[i].next_access) << i;
   }
-}
-
-TEST(TraceViewTest, FromTraceKeepsTraceAliveAfterCallersLastReference) {
-  auto owned = std::make_shared<const Trace>(MakeTrace());
-  const std::weak_ptr<const Trace> watch = owned;
-  const uint64_t fingerprint = owned->Fingerprint();
-  const size_t size = owned->size();
-
-  std::optional<TraceView> view = TraceView::FromTrace(owned);
-  owned.reset();
-  ASSERT_FALSE(watch.expired());
-  TraceView copy = *view;
-  view.reset();
-  ASSERT_FALSE(watch.expired());  // a surviving copy still owns the trace
-  EXPECT_EQ(copy.size(), size);
-  Trace reread(std::vector<Request>(copy.AsRequests(), copy.AsRequests() + copy.size()));
-  EXPECT_EQ(reread.Fingerprint(), fingerprint);
-
-  copy = TraceView();
-  EXPECT_TRUE(watch.expired());
 }
 
 }  // namespace

@@ -8,8 +8,8 @@ Compares two BENCH_fig06_percentiles.json files from the same bench binary
 run with --mrc=onepass (the default) and --mrc=brute, and asserts:
   1. both runs produced the same set of figure rows,
   2. every numeric field agrees within eps (default 0: the one-pass engine
-     is exact for the FIFO family and the brute path is shared for the rest,
-     so the rows must be bit-identical),
+     is exact for the FIFO family and LRU, and the brute path is shared for
+     the rest, so the rows must be bit-identical),
   3. the onepass run actually ran in onepass mode (summary.mrc).
 
 Exits non-zero with a diagnostic on any violation.
