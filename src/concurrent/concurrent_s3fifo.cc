@@ -5,6 +5,7 @@
 #include <cstring>
 #include <mutex>
 #include <new>
+#include <stdexcept>
 
 #include <sanitizer/asan_interface.h>  // poisoning macros; no-ops without ASan
 
@@ -147,6 +148,9 @@ ConcurrentS3Fifo::ConcurrentS3Fifo(const ConcurrentCacheConfig& config, double s
       move_threshold_(move_threshold),
       max_freq_(max_freq),
       num_shards_(PickCacheShards(config.cache_shards, config.capacity_objects)) {
+  if (config.capacity_objects == 0) {
+    throw std::invalid_argument("ConcurrentCacheConfig.capacity_objects must be > 0");
+  }
   const unsigned index_shards = std::max(1u, config.hash_shards / num_shards_);
   shards_.reserve(num_shards_);
   for (unsigned i = 0; i < num_shards_; ++i) {

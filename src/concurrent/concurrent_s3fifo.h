@@ -36,6 +36,7 @@ namespace s3fifo {
 
 class ConcurrentS3Fifo : public ConcurrentCache {
  public:
+  // Throws std::invalid_argument when config.capacity_objects is 0.
   explicit ConcurrentS3Fifo(const ConcurrentCacheConfig& config, double small_ratio = 0.1,
                             uint32_t move_threshold = 2, uint32_t max_freq = 3);
   ~ConcurrentS3Fifo() override;

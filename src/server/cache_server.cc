@@ -20,22 +20,9 @@ namespace s3fifo {
 namespace {
 
 constexpr const char* kVersionLine = "VERSION s3fifo-server 1.0\r\n";
-
-void AppendU64(std::vector<char>& out, uint64_t v) {
-  char buf[20];
-  int n = 0;
-  do {
-    buf[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  while (n > 0) {
-    out.push_back(buf[--n]);
-  }
-}
-
-void AppendStr(std::vector<char>& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
-}
+// Consecutive pipelined get keys fused into one GetBatch call, at most.
+constexpr size_t kMaxBatch = 256;
+constexpr int kListenBacklog = 256;
 
 void AppendStat(std::vector<char>& out, std::string_view name, uint64_t v) {
   AppendStr(out, "STAT ");
@@ -60,14 +47,8 @@ struct ArenaSink final : public ValueSink {
   }
 };
 
+// Per-connection protocol state; the transport owns the byte buffers.
 struct Connection {
-  Transport::Conn* tconn = nullptr;
-  RingBuffer in;
-  std::vector<char> out;  // response bytes not yet handed to the transport
-  bool want_close = false;     // close once everything queued has drained
-  bool parse_blocked = false;  // backpressure: unsent output above watermark
-  bool read_paused = false;    // we returned false from GetReadBuffer
-  bool pumping = false;        // re-entrancy guard (ResumeRead -> OnData)
   ParseOutput parsed;
 
   // Scratch for the fused get batch (reused every flush).
@@ -102,13 +83,13 @@ struct CacheServer::Worker final : public Transport::Handler {
   std::atomic<uint64_t> batches{0};
   std::atomic<uint64_t> batched_gets{0};
   std::atomic<uint64_t> parse_errors{0};
-  std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> bytes_written{0};
   // Snapshots of the transport's (thread-local) counters, published after
   // every Poll so stats served by other workers stay near-exact.
   std::atomic<uint64_t> t_syscalls{0};
   std::atomic<uint64_t> t_waits{0};
   std::atomic<uint64_t> t_events{0};
+  std::atomic<uint64_t> t_bytes_read{0};
+  std::atomic<uint64_t> t_bytes_written{0};
 
   void Bump(std::atomic<uint64_t>& c, uint64_t v = 1) {
     c.store(c.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
@@ -119,128 +100,29 @@ struct CacheServer::Worker final : public Transport::Handler {
     t_syscalls.store(tc.syscalls, std::memory_order_relaxed);
     t_waits.store(tc.waits, std::memory_order_relaxed);
     t_events.store(tc.events, std::memory_order_relaxed);
+    t_bytes_read.store(tc.bytes_read, std::memory_order_relaxed);
+    t_bytes_written.store(tc.bytes_written, std::memory_order_relaxed);
   }
 
   // --- Transport::Handler --------------------------------------------------
 
-  void* OnAccept(Transport::Conn* tconn) override {
+  void* OnAccept(Transport::Conn* /*tconn*/) override {
     Bump(connections_accepted);
     auto conn = std::make_unique<Connection>();
-    conn->tconn = tconn;
     Connection* c = conn.get();
     conns.emplace(c, std::move(conn));
     return c;
-  }
-
-  bool GetReadBuffer(Transport::Conn* /*tconn*/, void* ud, char** buf,
-                     size_t* cap) override {
-    auto* c = static_cast<Connection*>(ud);
-    if (!c->in.EnsureWritable(4096)) {
-      if (!c->parse_blocked && !c->pumping) {
-        // Full, yet a parse pass ran on these bytes and left them: one
-        // frame fills the whole buffer without parsing fatal. The current
-        // limits (kMaxLineLen, kMaxValueBytes, both well under the buffer
-        // cap) rule that out; drop the connection to bound memory if a
-        // future limit change breaks that.
-        CloseConn(c);
-        return false;
-      }
-      // Full of commands not parsed yet: either the parser is blocked on
-      // the out watermark, or Pump's ResumeRead re-entered here and the
-      // nested OnData left parsing to the Pump already on the stack (which
-      // still holds `c`, so it must not be freed). Pause reading; that Pump
-      // or the next drain parses, frees space and resumes (ResumeRead).
-      c->read_paused = true;
-      return false;
-    }
-    *buf = c->in.WritePtr();
-    *cap = c->in.WriteCapacity();
-    return true;
-  }
-
-  void OnData(Transport::Conn* /*tconn*/, void* ud, size_t n) override {
-    auto* c = static_cast<Connection*>(ud);
-    c->in.CommitWrite(n);
-    Bump(bytes_read, static_cast<uint64_t>(n));
-    Pump(c);
-  }
-
-  void OnWritable(Transport::Conn* /*tconn*/, void* ud) override {
-    auto* c = static_cast<Connection*>(ud);
-    if (c->want_close) {
-      CloseConn(c);
-      return;
-    }
-    if (c->parse_blocked && OutPending(c) <= server->config_.out_high_watermark) {
-      c->parse_blocked = false;
-      Pump(c);
-    }
   }
 
   void OnClose(Transport::Conn* /*tconn*/, void* ud) override {
     conns.erase(static_cast<Connection*>(ud));
   }
 
-  // --- protocol pump -------------------------------------------------------
-
-  size_t OutPending(const Connection* c) const {
-    return c->out.size() + transport->SendQueueBytes(c->tconn);
-  }
-
-  // Server-initiated close: the transport never calls OnClose for these.
-  void CloseConn(Connection* c) {
-    transport->Close(c->tconn);
-    conns.erase(c);
-  }
-
-  // Hands the rendered output to the transport. False if the connection was
-  // closed (want_close with nothing left queued).
-  bool FlushOut(Connection* c) {
-    if (!c->out.empty()) {
-      Bump(bytes_written, static_cast<uint64_t>(c->out.size()));
-      transport->Send(c->tconn, &c->out);  // comes back empty
-    }
-    if (c->want_close && transport->SendQueueBytes(c->tconn) == 0) {
-      CloseConn(c);
-      return false;
-    }
-    return true;
-  }
-
-  // Alternates parse and flush until neither can make progress: parsing
-  // stops at the out high watermark, and room freed by a drain re-enables
-  // parsing (OnWritable re-enters here). Resumes paused reads once the
-  // parser catches up.
-  void Pump(Connection* c) {
-    if (c->pumping) {
-      return;  // ResumeRead below re-entered OnData; outer loop continues
-    }
-    c->pumping = true;
-    for (;;) {
-      ProcessInput(c);
-      if (!FlushOut(c)) {
-        return;  // connection freed
-      }
-      if (c->parse_blocked &&
-          OutPending(c) <= server->config_.out_high_watermark) {
-        c->parse_blocked = false;
-        continue;
-      }
-      if (c->read_paused && !c->parse_blocked && c->in.EnsureWritable(4096)) {
-        c->read_paused = false;
-        transport->ResumeRead(c->tconn);  // may push more bytes via OnData
-        if (c->in.size() > 0) {
-          continue;
-        }
-      }
-      break;
-    }
-    c->pumping = false;
-  }
+  // --- protocol ------------------------------------------------------------
 
   // Executes the fused get batch through the cache's pipelined path and
   // renders one "VALUE…/END" group per original get command, in order.
-  void FlushGetBatch(Connection& c) {
+  void FlushGetBatch(Connection& c, std::vector<char>& out) {
     ConcurrentCache& cache = *server->cache_;
     const uint32_t n = static_cast<uint32_t>(c.batch_ids.size());
     if (n == 0) {
@@ -264,16 +146,16 @@ struct CacheServer::Worker final : public Transport::Handler {
         }
         ++hits;
         const auto [off, size] = c.batch_slots[idx];
-        AppendStr(c.out, "VALUE ");
-        AppendStr(c.out, c.batch_keys[idx]);
-        AppendStr(c.out, " 0 ");
-        AppendU64(c.out, size);
-        AppendStr(c.out, "\r\n");
-        c.out.insert(c.out.end(), c.value_arena.data() + off,
-                     c.value_arena.data() + off + size);
-        AppendStr(c.out, "\r\n");
+        AppendStr(out, "VALUE ");
+        AppendStr(out, c.batch_keys[idx]);
+        AppendStr(out, " 0 ");
+        AppendU64(out, size);
+        AppendStr(out, "\r\n");
+        out.insert(out.end(), c.value_arena.data() + off,
+                   c.value_arena.data() + off + size);
+        AppendStr(out, "\r\n");
       }
-      AppendStr(c.out, "END\r\n");
+      AppendStr(out, "END\r\n");
     }
     Bump(batches);
     Bump(batched_gets, n);
@@ -284,34 +166,32 @@ struct CacheServer::Worker final : public Transport::Handler {
     c.batch_op_key_counts.clear();
   }
 
-  // Parses and executes everything buffered on the connection. Respects the
-  // out-buffer high watermark (backpressure) and the batch cap.
-  void ProcessInput(Connection* c) {
+  // Parses and executes every complete command buffered on the connection,
+  // stopping while the transport's out buffer is full (backpressure). After
+  // quit or an unrecoverable frame, closes once the replies are sent.
+  void OnInput(Transport::Conn* tconn, void* ud) override {
+    auto* c = static_cast<Connection*>(ud);
     ConcurrentCache& cache = *server->cache_;
-    const ServerConfig& config = server->config_;
+    RingBuffer& in = tconn->in;
+    std::vector<char>& out = tconn->out;
     c->parsed.Clear();
-    while (!c->want_close) {
-      if (OutPending(c) > config.out_high_watermark) {
-        c->parse_blocked = true;  // resume after the next drain
-        break;
-      }
+    bool quit = false;
+    while (!quit && !Transport::OutFull(tconn)) {
       const size_t op_watermark = c->parsed.ops.size();
-      const ParseResult r = ParseCommand(c->in.view(), c->parsed);
+      const ParseResult r = ParseCommand(in.view(), c->parsed);
       if (r.status == ParseStatus::kNeedMore) {
         break;
       }
       if (r.status == ParseStatus::kError || r.status == ParseStatus::kFatal) {
-        FlushGetBatch(*c);
-        AppendStr(c->out, r.error);
+        FlushGetBatch(*c, out);
+        AppendStr(out, r.error);
         Bump(parse_errors);
-        c->in.Consume(r.consumed);
-        if (r.status == ParseStatus::kFatal) {
-          c->want_close = true;
-        }
+        in.Consume(r.consumed);
+        quit = r.status == ParseStatus::kFatal;
         continue;
       }
       const ParsedOp op = c->parsed.ops[op_watermark];
-      c->in.Consume(r.consumed);
+      in.Consume(r.consumed);
       switch (op.type) {
         case CmdType::kGet: {
           Bump(cmd_get, op.key_count);
@@ -321,77 +201,79 @@ struct CacheServer::Worker final : public Transport::Handler {
             c->batch_keys.push_back(key);
           }
           c->batch_op_key_counts.push_back(op.key_count);
-          if (c->batch_ids.size() >= config.max_batch) {
-            FlushGetBatch(*c);
+          if (c->batch_ids.size() >= kMaxBatch) {
+            FlushGetBatch(*c, out);
           }
           break;
         }
         case CmdType::kSet: {
-          FlushGetBatch(*c);
+          FlushGetBatch(*c, out);
           Bump(cmd_set);
           const std::string_view key = c->parsed.keys[op.key_begin];
           const bool stored = cache.Set(KeyToId(key), op.value.data(),
                                         static_cast<uint32_t>(op.value.size()));
           if (!op.noreply) {
-            AppendStr(c->out,
+            AppendStr(out,
                       stored ? "STORED\r\n" : "SERVER_ERROR not supported\r\n");
           }
           break;
         }
         case CmdType::kDelete: {
-          FlushGetBatch(*c);
+          FlushGetBatch(*c, out);
           Bump(cmd_delete);
           const std::string_view key = c->parsed.keys[op.key_begin];
           const bool removed = cache.Delete(KeyToId(key));
           if (!op.noreply) {
-            AppendStr(c->out, removed ? "DELETED\r\n" : "NOT_FOUND\r\n");
+            AppendStr(out, removed ? "DELETED\r\n" : "NOT_FOUND\r\n");
           }
           break;
         }
         case CmdType::kStats: {
-          FlushGetBatch(*c);
+          FlushGetBatch(*c, out);
           // Fold in this worker's own transport counters first; the other
           // workers' snapshots lag by at most one Poll iteration.
           PublishTransportCounters();
           const ServerStats s = server->TotalStats();
-          AppendStat(c->out, "cmd_get", s.cmd_get);
-          AppendStat(c->out, "cmd_set", s.cmd_set);
-          AppendStat(c->out, "cmd_delete", s.cmd_delete);
-          AppendStat(c->out, "get_hits", s.get_hits);
-          AppendStat(c->out, "get_misses", s.get_misses);
-          AppendStat(c->out, "batches", s.batches);
-          AppendStat(c->out, "batched_gets", s.batched_gets);
-          AppendStat(c->out, "parse_errors", s.parse_errors);
-          AppendStat(c->out, "bytes_read", s.bytes_read);
-          AppendStat(c->out, "bytes_written", s.bytes_written);
-          AppendStat(c->out, "total_connections", s.connections_accepted);
-          AppendStat(c->out, "threads", config.workers);
-          AppendStat(c->out, "curr_items", cache.ApproxSize());
+          AppendStat(out, "cmd_get", s.cmd_get);
+          AppendStat(out, "cmd_set", s.cmd_set);
+          AppendStat(out, "cmd_delete", s.cmd_delete);
+          AppendStat(out, "get_hits", s.get_hits);
+          AppendStat(out, "get_misses", s.get_misses);
+          AppendStat(out, "batches", s.batches);
+          AppendStat(out, "batched_gets", s.batched_gets);
+          AppendStat(out, "parse_errors", s.parse_errors);
+          AppendStat(out, "bytes_read", s.bytes_read);
+          AppendStat(out, "bytes_written", s.bytes_written);
+          AppendStat(out, "total_connections", s.connections_accepted);
+          AppendStat(out, "threads", server->config_.workers);
+          AppendStat(out, "curr_items", cache.ApproxSize());
           {
             const ConcurrentCacheStats cs = cache.Stats();
-            AppendStat(c->out, "cache_hits", cs.hits);
-            AppendStat(c->out, "cache_misses", cs.misses);
+            AppendStat(out, "cache_hits", cs.hits);
+            AppendStat(out, "cache_misses", cs.misses);
           }
-          AppendStr(c->out, "STAT transport ");
-          AppendStr(c->out, server->transport_name());
-          AppendStr(c->out, "\r\n");
-          AppendStat(c->out, "transport_syscalls", s.transport_syscalls);
-          AppendStat(c->out, "transport_waits", s.transport_waits);
-          AppendStat(c->out, "transport_events", s.transport_events);
-          AppendStr(c->out, "END\r\n");
+          AppendStr(out, "STAT transport ");
+          AppendStr(out, server->transport_name());
+          AppendStr(out, "\r\n");
+          AppendStat(out, "transport_syscalls", s.transport_syscalls);
+          AppendStat(out, "transport_waits", s.transport_waits);
+          AppendStat(out, "transport_events", s.transport_events);
+          AppendStr(out, "END\r\n");
           break;
         }
         case CmdType::kVersion:
-          FlushGetBatch(*c);
-          AppendStr(c->out, kVersionLine);
+          FlushGetBatch(*c, out);
+          AppendStr(out, kVersionLine);
           break;
         case CmdType::kQuit:
-          FlushGetBatch(*c);
-          c->want_close = true;
+          quit = true;
           break;
       }
     }
-    FlushGetBatch(*c);
+    FlushGetBatch(*c, out);
+    if (quit) {
+      transport->Close(tconn);
+    }
   }
 };
 
@@ -438,7 +320,7 @@ bool CacheServer::BindListener(Worker& w, std::string* error) {
   if (bind(w.listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     return fail("bind");
   }
-  if (listen(w.listen_fd, config_.listen_backlog) != 0) {
+  if (listen(w.listen_fd, kListenBacklog) != 0) {
     return fail("listen");
   }
   if (port_ == 0) {
@@ -515,8 +397,8 @@ ServerStats CacheServer::TotalStats() const {
     s.batches += w->batches.load(std::memory_order_relaxed);
     s.batched_gets += w->batched_gets.load(std::memory_order_relaxed);
     s.parse_errors += w->parse_errors.load(std::memory_order_relaxed);
-    s.bytes_read += w->bytes_read.load(std::memory_order_relaxed);
-    s.bytes_written += w->bytes_written.load(std::memory_order_relaxed);
+    s.bytes_read += w->t_bytes_read.load(std::memory_order_relaxed);
+    s.bytes_written += w->t_bytes_written.load(std::memory_order_relaxed);
     s.transport_syscalls += w->t_syscalls.load(std::memory_order_relaxed);
     s.transport_waits += w->t_waits.load(std::memory_order_relaxed);
     s.transport_events += w->t_events.load(std::memory_order_relaxed);

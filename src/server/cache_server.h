@@ -4,16 +4,15 @@
 //
 // Architecture (one box per worker):
 //
-//   [SO_REUSEPORT listener]──accept──┐        per-connection state
-//   [Transport: edge-triggered epoll] ▼
-//     incoming bytes ──pushed──▶ RingBuffer ──ParseCommand*──▶ ops
+//   [SO_REUSEPORT listener]──accept──┐
+//   [Transport: edge-triggered epoll] ▼   owns each connection's in/out
+//     read ──▶ conn.in (RingBuffer) ──OnInput: ParseCommand*──▶ ops
 //        consecutive get keys fuse into one batch ──▶ ConcurrentCache::
 //        GetBatch (software-pipelined lock-free probes, values copied out
-//        under the EBR read guard) ──▶ responses appended to out buffer
-//     outgoing bytes ──Send()──▶ transport send queue; backpressure:
-//        parsing pauses while more than out_high_watermark bytes are queued
-//        unsent, and reading pauses once the in-buffer fills behind the
-//        blocked parser.
+//        under the EBR read guard) ──▶ replies appended to conn.out
+//     conn.out ──send, after every OnInput──▶ socket; backpressure: OnInput
+//        stops while more than Transport::kOutHighWatermark bytes wait in
+//        out, and the transport pauses reading once in fills behind it.
 //
 // The event loop mechanics live in src/server/transport.h.
 //
@@ -41,11 +40,6 @@ struct ServerConfig {
   uint16_t port = 0;     // 0 = pick an ephemeral port (read back via port())
   unsigned workers = 1;  // event loops == SO_REUSEPORT listeners
   ConcurrentCacheConfig cache;  // sharded lock-free S3-FIFO underneath
-  // Consecutive pipelined gets fused into one GetBatch call.
-  uint32_t max_batch = 256;
-  // Parsing pauses while this many response bytes are queued unsent.
-  size_t out_high_watermark = 4 << 20;
-  int listen_backlog = 256;
 };
 
 // Aggregated across workers; counters are relaxed atomics, exact once the

@@ -34,22 +34,6 @@ uint64_t NowNs() {
           .count());
 }
 
-void AppendU64(std::vector<char>& out, uint64_t v) {
-  char buf[20];
-  int n = 0;
-  do {
-    buf[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  while (n > 0) {
-    out.push_back(buf[--n]);
-  }
-}
-
-void AppendStr(std::vector<char>& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
-}
-
 // What the next response on the wire must look like.
 enum class RespKind : uint8_t { kGet, kLine };
 
@@ -58,11 +42,9 @@ struct Pending {
   uint64_t intended_ns;  // schedule time (open loop) or send time (closed)
 };
 
+// One connection's replay state; the transport owns its byte buffers.
 struct ClientConn {
-  int fd = -1;                        // until adopted by the transport
-  Transport::Conn* tconn = nullptr;   // null after the server closed it
-  std::vector<char> out;              // encoded requests awaiting Send()
-  RingBuffer in{64 * 1024};
+  int fd = -1;  // until adopted by the transport
   std::deque<Pending> pending;
   // Replay cursor: requests trace[cursor], trace[cursor + stride], ...
   uint64_t cursor = 0;
@@ -84,53 +66,53 @@ struct ClientConn {
   bool drained() const { return done_issuing() && pending.empty(); }
 };
 
-// Appends the memcached encoding of trace request `r` and its expected
-// response to the connection.
-void EncodeRequest(ClientConn& c, const Request& r, uint32_t set_value_bytes,
-                   uint64_t intended_ns) {
+// Appends the memcached encoding of trace request `r` to `out` and its
+// expected response to the connection.
+void EncodeRequest(ClientConn& c, std::vector<char>& out, const Request& r,
+                   uint32_t set_value_bytes, uint64_t intended_ns) {
   switch (r.op) {
     case OpType::kGet:
-      AppendStr(c.out, "get ");
-      AppendU64(c.out, r.id);
-      AppendStr(c.out, "\r\n");
+      AppendStr(out, "get ");
+      AppendU64(out, r.id);
+      AppendStr(out, "\r\n");
       c.pending.push_back({RespKind::kGet, intended_ns});
       break;
     case OpType::kSet: {
       const uint32_t bytes =
           std::min(set_value_bytes, static_cast<uint32_t>(kMaxValueBytes));
-      AppendStr(c.out, "set ");
-      AppendU64(c.out, r.id);
-      AppendStr(c.out, " 0 0 ");
-      AppendU64(c.out, bytes);
-      AppendStr(c.out, "\r\n");
-      c.out.insert(c.out.end(), bytes, 'x');
-      AppendStr(c.out, "\r\n");
+      AppendStr(out, "set ");
+      AppendU64(out, r.id);
+      AppendStr(out, " 0 0 ");
+      AppendU64(out, bytes);
+      AppendStr(out, "\r\n");
+      out.insert(out.end(), bytes, 'x');
+      AppendStr(out, "\r\n");
       c.pending.push_back({RespKind::kLine, intended_ns});
       break;
     }
     case OpType::kDelete:
-      AppendStr(c.out, "delete ");
-      AppendU64(c.out, r.id);
-      AppendStr(c.out, "\r\n");
+      AppendStr(out, "delete ");
+      AppendU64(out, r.id);
+      AppendStr(out, "\r\n");
       c.pending.push_back({RespKind::kLine, intended_ns});
       break;
   }
 }
 
-// Consumes completed responses from the connection's in-buffer, recording a
-// latency sample per completed request. Returns false on protocol confusion
-// (an error line while a get was expected still completes that get).
-bool ConsumeResponses(ClientConn& c, uint64_t now_ns) {
+// Consumes completed responses from `in`, recording a latency sample per
+// completed request. Returns false on protocol confusion (an error line
+// while a get was expected still completes that get).
+bool ConsumeResponses(ClientConn& c, RingBuffer& in, uint64_t now_ns) {
   for (;;) {
     if (c.skip_bytes > 0) {
-      const uint64_t take = std::min<uint64_t>(c.skip_bytes, c.in.size());
-      c.in.Consume(take);
+      const uint64_t take = std::min<uint64_t>(c.skip_bytes, in.size());
+      in.Consume(take);
       c.skip_bytes -= take;
       if (c.skip_bytes > 0) {
         return true;  // body still arriving
       }
     }
-    const std::string_view buf = c.in.view();
+    const std::string_view buf = in.view();
     const size_t nl = buf.find('\n');
     if (nl == std::string_view::npos) {
       return true;
@@ -154,11 +136,11 @@ bool ConsumeResponses(ClientConn& c, uint64_t now_ns) {
         bytes = bytes * 10 + static_cast<uint64_t>(ch - '0');
       }
       c.get_hits++;
-      c.in.Consume(nl + 1);
+      in.Consume(nl + 1);
       c.skip_bytes = bytes + 2;  // body + \r\n
       continue;
     }
-    c.in.Consume(nl + 1);
+    in.Consume(nl + 1);
     if (p.kind == RespKind::kGet) {
       c.gets++;
     }
@@ -225,9 +207,8 @@ struct ThreadOutcome {
 };
 
 // One client thread: owns a listener-less transport and the connections
-// adopted into it. Requests are encoded into each connection's
-// out buffer and handed to the transport; completed responses arrive through
-// the Handler callbacks.
+// adopted into it. Requests are encoded into each connection's out buffer;
+// completed responses are consumed from its in buffer in OnInput.
 class ClientThread final : public Transport::Handler {
  public:
   ClientThread(const LoadGenConfig& cfg, const Trace& trace,
@@ -253,11 +234,13 @@ class ClientThread final : public Transport::Handler {
       Fail("transport init: " + err);
       return;
     }
-    transport_ = &transport;
-    for (auto& c : *conns_) {
-      c.tconn = transport_->Adopt(c.fd, &c);
+    // links_[i] is (*conns_)[i]'s transport connection, null once closed.
+    links_.assign(conns_->size(), nullptr);
+    for (size_t i = 0; i < conns_->size(); ++i) {
+      ClientConn& c = (*conns_)[i];
+      links_[i] = transport.Adopt(c.fd, &c);
       c.fd = -1;  // the transport owns it now
-      if (c.tconn == nullptr) {
+      if (links_[i] == nullptr) {
         Fail("transport adopt failed");
         return;
       }
@@ -266,20 +249,22 @@ class ClientThread final : public Transport::Handler {
     // Closed loop: prime every connection's pipeline.
     if (!open_loop_) {
       const uint64_t now = NowNs();
-      for (auto& c : *conns_) {
+      for (size_t i = 0; i < conns_->size(); ++i) {
+        ClientConn& c = (*conns_)[i];
         for (unsigned d = 0; d < cfg_.pipeline_depth && !c.done_issuing();
              ++d) {
-          IssueOne(c, now);
+          IssueOne(c, links_[i]->out, now);
         }
-        FlushOut(c);
+        transport.Flush(links_[i]);
       }
     }
 
     while (!failed()) {
       uint64_t now = NowNs();
       bool all_drained = true;
-      for (auto& c : *conns_) {
-        if (open_loop_ && c.tconn != nullptr) {
+      for (size_t i = 0; i < conns_->size(); ++i) {
+        ClientConn& c = (*conns_)[i];
+        if (open_loop_ && links_[i] != nullptr) {
           // Issue everything the schedule says is due, independent of
           // completions (the burst cap only bounds one iteration's work; the
           // schedule itself never slips).
@@ -287,14 +272,14 @@ class ClientThread final : public Transport::Handler {
           while (!c.done_issuing() && now >= c.next_due_ns &&
                  (deadline_ns_ == 0 || c.next_due_ns < deadline_ns_) &&
                  burst < 4096) {
-            IssueOne(c, c.next_due_ns);
+            IssueOne(c, links_[i]->out, c.next_due_ns);
             c.next_due_ns += c.stride_interval_ns;
             burst++;
           }
           if (deadline_ns_ != 0 && c.next_due_ns >= deadline_ns_) {
             c.budget = c.issued;  // deadline reached: stop issuing
           }
-          FlushOut(c);
+          transport.Flush(links_[i]);
         }
         if (!c.drained()) {
           all_drained = false;
@@ -321,7 +306,7 @@ class ClientThread final : public Transport::Handler {
                         (next_due - now) / 1000000, 100));
         }
       }
-      if (!transport_->Poll(timeout_ms)) {
+      if (!transport.Poll(timeout_ms)) {
         Fail("transport poll failed");
         break;
       }
@@ -333,7 +318,7 @@ class ClientThread final : public Transport::Handler {
       outcome_->get_hits += c.get_hits;
       outcome_->latency.Merge(c.latency);
     }
-    transport_ = nullptr;  // `transport` destruction closes the fds
+    // `transport` destruction closes the fds.
   }
 
   // --- Transport::Handler --------------------------------------------------
@@ -342,48 +327,24 @@ class ClientThread final : public Transport::Handler {
     return nullptr;  // client-only transport: no listener, never called
   }
 
-  bool GetReadBuffer(Transport::Conn* /*conn*/, void* ud, char** buf,
-                     size_t* cap) override {
+  void OnInput(Transport::Conn* conn, void* ud) override {
     auto* c = static_cast<ClientConn*>(ud);
-    if (!c->in.EnsureWritable(4096)) {
-      // Drain parsed responses to reclaim buffer space before giving up —
-      // an open-loop backlog can exceed the buffer in one burst.
-      if (!ConsumeResponses(*c, NowNs())) {
-        Fail("malformed response from server");
-        return false;
-      }
-      if (!c->in.EnsureWritable(4096)) {
-        Fail("client in-buffer overflow");
-        return false;
-      }
-    }
-    *buf = c->in.WritePtr();
-    *cap = c->in.WriteCapacity();
-    return true;
-  }
-
-  void OnData(Transport::Conn* /*conn*/, void* ud, size_t n) override {
-    auto* c = static_cast<ClientConn*>(ud);
-    c->in.CommitWrite(n);
     const uint64_t now = NowNs();
-    if (!ConsumeResponses(*c, now)) {
+    if (!ConsumeResponses(*c, conn->in, now)) {
       Fail("malformed response from server");
       return;
     }
     if (!open_loop_) {
       // Closed loop: refill the pipeline to depth.
       while (!c->done_issuing() && c->pending.size() < cfg_.pipeline_depth) {
-        IssueOne(*c, now);
+        IssueOne(*c, conn->out, now);
       }
-      FlushOut(*c);
     }
   }
 
-  void OnWritable(Transport::Conn* /*conn*/, void* /*ud*/) override {}
-
   void OnClose(Transport::Conn* /*conn*/, void* ud) override {
     auto* c = static_cast<ClientConn*>(ud);
-    c->tconn = nullptr;
+    links_[static_cast<size_t>(c - conns_->data())] = nullptr;
     if (!c->drained()) {
       Fail("server closed connection");
     }
@@ -398,17 +359,11 @@ class ClientThread final : public Transport::Handler {
   }
   bool failed() const { return !outcome_->ok; }
 
-  void IssueOne(ClientConn& c, uint64_t intended_ns) {
-    EncodeRequest(c, reqs_[c.cursor % reqs_.size()], cfg_.set_value_bytes,
+  void IssueOne(ClientConn& c, std::vector<char>& out, uint64_t intended_ns) {
+    EncodeRequest(c, out, reqs_[c.cursor % reqs_.size()], cfg_.set_value_bytes,
                   intended_ns);
     c.cursor += c.stride;
     c.issued++;
-  }
-
-  void FlushOut(ClientConn& c) {
-    if (!c.out.empty() && c.tconn != nullptr) {
-      transport_->Send(c.tconn, &c.out);  // comes back empty
-    }
   }
 
   const LoadGenConfig& cfg_;
@@ -417,7 +372,7 @@ class ClientThread final : public Transport::Handler {
   const uint64_t deadline_ns_;
   ThreadOutcome* outcome_;
   const bool open_loop_;
-  Transport* transport_ = nullptr;
+  std::vector<Transport::Conn*> links_;
 };
 
 }  // namespace
@@ -431,6 +386,11 @@ LoadGenResult RunLoadGen(const LoadGenConfig& config, const Trace& trace) {
   const unsigned nthreads = std::max(1u, config.threads);
   const unsigned nconns = std::max(nthreads, config.connections);
   const bool open_loop = config.target_rate > 0;
+  if (!open_loop && config.pipeline_depth == 0) {
+    // Nothing would ever be in flight, so nothing would ever complete.
+    result.error = "closed loop needs pipeline_depth >= 1";
+    return result;
+  }
 
   uint64_t total_ops = config.max_ops == 0 ? trace.size() : config.max_ops;
   if (open_loop && config.duration_s > 0) {

@@ -33,7 +33,8 @@ struct LoadGenConfig {
   uint16_t port = 0;
   unsigned threads = 1;      // client event-loop threads
   unsigned connections = 8;  // total TCP connections, spread across threads
-  // Closed loop: requests kept in flight per connection.
+  // Closed loop: requests kept in flight per connection (RunLoadGen fails
+  // a closed loop with 0).
   unsigned pipeline_depth = 8;
   // > 0 switches to open loop at this many ops/second (all connections
   // combined); pipeline_depth then only caps the per-connection burst drained

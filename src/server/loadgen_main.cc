@@ -11,11 +11,14 @@
 // latencies are measured from intended send times (coordinated-omission
 // safe). Prints throughput and p50/p99/p999. --latency-csv dumps the HDR
 // histogram buckets for offline plotting, in both modes.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "src/server/cli_args.h"
 #include "src/server/loadgen.h"
 #include "src/workload/zipf_workload.h"
 
@@ -73,30 +76,44 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The next argument as a whole decimal number in [min, max].
+    auto number = [&](uint64_t min, uint64_t max) -> uint64_t {
+      uint64_t v = 0;
+      if (!s3fifo::ParseUintArg(next(), min, max, &v)) {
+        Usage(argv[0]);
+      }
+      return v;
+    };
+    // The next argument as a finite, non-negative real number.
+    auto real = [&]() -> double {
+      double v = 0;
+      if (!s3fifo::ParseRealArg(next(), &v)) {
+        Usage(argv[0]);
+      }
+      return v;
+    };
     if (arg == "--port") {
-      config.port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      config.port = static_cast<uint16_t>(number(1, UINT16_MAX));
     } else if (arg == "--host") {
       config.host = next();
     } else if (arg == "--threads") {
-      config.threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      config.threads = static_cast<unsigned>(number(1, UINT_MAX));
     } else if (arg == "--connections") {
-      config.connections =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      config.connections = static_cast<unsigned>(number(1, UINT_MAX));
     } else if (arg == "--depth") {
-      config.pipeline_depth =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      config.pipeline_depth = static_cast<unsigned>(number(1, UINT_MAX));
     } else if (arg == "--ops") {
-      config.max_ops = std::strtoull(next(), nullptr, 10);
+      config.max_ops = number(0, UINT64_MAX);
     } else if (arg == "--rate") {
-      config.target_rate = std::atof(next());
+      config.target_rate = real();
     } else if (arg == "--duration") {
-      config.duration_s = std::atof(next());
+      config.duration_s = real();
     } else if (arg == "--objects") {
-      workload.num_objects = std::strtoull(next(), nullptr, 10);
+      workload.num_objects = number(1, UINT64_MAX);
     } else if (arg == "--alpha") {
-      workload.alpha = std::atof(next());
+      workload.alpha = real();
     } else if (arg == "--seed") {
-      workload.seed = std::strtoull(next(), nullptr, 10);
+      workload.seed = number(0, UINT64_MAX);
     } else if (arg == "--latency-csv") {
       latency_csv = next();
     } else if (arg.rfind("--latency-csv=", 0) == 0) {

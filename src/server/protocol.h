@@ -70,6 +70,23 @@ struct ParseResult {
 // ParsedOp (plus its keys) to `out`.
 ParseResult ParseCommand(std::string_view data, ParseOutput& out);
 
+// Reply and request rendering: append `s`, or `v` in decimal, to `out`.
+inline void AppendStr(std::vector<char>& out, std::string_view s) {
+  out.insert(out.end(), s.begin(), s.end());
+}
+
+inline void AppendU64(std::vector<char>& out, uint64_t v) {
+  char buf[20];
+  int n = 0;
+  do {
+    buf[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  while (n > 0) {
+    out.push_back(buf[--n]);
+  }
+}
+
 // Key -> object id. Decimal keys (<= 20 digits, fitting uint64) map to their
 // exact integer value — the load generator and the server-vs-simulator
 // parity tests rely on this round-trip; any other key is FNV-1a-64 hashed

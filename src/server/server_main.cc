@@ -1,7 +1,7 @@
 // Standalone cache server:
 //
 //   s3fifo_server [--port N] [--workers N] [--capacity N] [--value-bytes N]
-//                 [--cache-shards N] [--max-batch N]
+//                 [--cache-shards N]
 //
 // Serves the memcached text subset (get/gets/mget/set/delete/stats/version/
 // quit) on top of the sharded lock-free concurrent S3-FIFO. Prints the bound
@@ -10,13 +10,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
 #include "src/server/cache_server.h"
+#include "src/server/cli_args.h"
 
 namespace {
 
@@ -27,7 +29,7 @@ void OnSignal(int) { g_stop.store(true); }
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--workers N] [--capacity N] "
-               "[--value-bytes N] [--cache-shards N] [--max-batch N]\n",
+               "[--value-bytes N] [--cache-shards N]\n",
                argv0);
   std::exit(2);
 }
@@ -38,26 +40,24 @@ int main(int argc, char** argv) {
   s3fifo::ServerConfig config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
+    // The next argument as a whole decimal number in [min, max].
+    auto number = [&](uint64_t min, uint64_t max) -> uint64_t {
+      uint64_t v = 0;
+      if (i + 1 >= argc || !s3fifo::ParseUintArg(argv[++i], min, max, &v)) {
         Usage(argv[0]);
       }
-      return argv[++i];
+      return v;
     };
     if (arg == "--port") {
-      config.port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      config.port = static_cast<uint16_t>(number(0, UINT16_MAX));
     } else if (arg == "--workers") {
-      config.workers = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      config.workers = static_cast<unsigned>(number(0, UINT_MAX));
     } else if (arg == "--capacity") {
-      config.cache.capacity_objects = std::strtoull(next(), nullptr, 10);
+      config.cache.capacity_objects = number(1, UINT64_MAX);
     } else if (arg == "--value-bytes") {
-      config.cache.value_size =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      config.cache.value_size = static_cast<uint32_t>(number(0, UINT32_MAX));
     } else if (arg == "--cache-shards") {
-      config.cache.cache_shards =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--max-batch") {
-      config.max_batch = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      config.cache.cache_shards = static_cast<unsigned>(number(0, UINT_MAX));
     } else {
       Usage(argv[0]);
     }

@@ -9,30 +9,21 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <deque>
-
 namespace s3fifo {
 
-struct Transport::Conn {
-  int fd = -1;
-  void* ud = nullptr;
-  // Owned outgoing buffers; front() is partially sent up to front_off.
-  std::deque<std::vector<char>> sendq;
-  size_t front_off = 0;
-  size_t queued_bytes = 0;
-  bool read_paused = false;  // handler returned false from GetReadBuffer
-  bool read_ready = false;   // an unconsumed EPOLLIN edge while paused
-  bool dead = false;         // close deferred to the end of the dispatch
-};
+namespace {
+
+// Free space a read needs in `in`; less than this and `in` counts as full.
+constexpr size_t kMinReadSpace = 4096;
+
+}  // namespace
 
 Transport::~Transport() {
   for (Conn* c : conns_) {
-    if (c->fd >= 0) {
-      close(c->fd);
-    }
+    close(c->fd);
     delete c;
   }
-  for (auto& [c, notify] : dead_) {
+  for (Conn* c : dead_) {
     delete c;  // destruction never notifies
   }
   if (epoll_fd_ >= 0) {
@@ -96,22 +87,19 @@ bool Transport::Poll(int timeout_ms) {
       continue;  // closed earlier in this event block
     }
     if ((ev.events & (EPOLLHUP | EPOLLERR)) != 0) {
-      CloseInternal(c, /*notify=*/true);
+      CloseInternal(c);
       continue;
     }
     if ((ev.events & EPOLLOUT) != 0) {
-      if (!FlushSendQueue(c)) {
-        continue;
-      }
-      if (c->queued_bytes == 0) {
-        handler_->OnWritable(c, c->ud);
-        if (c->dead) {
-          continue;
-        }
+      Flush(c);
+      if (c->blocked && !c->closing && !OutFull(c)) {
+        Serve(c);  // the input OnInput left at the watermark
       }
     }
     if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) {
       c->read_ready = true;
+    }
+    if (c->read_ready) {
       ReadReady(c);
     }
   }
@@ -141,51 +129,47 @@ Transport::Conn* Transport::Adopt(int fd, void* ud) {
   return c;
 }
 
-void Transport::Send(Conn* c, std::vector<char>* data) {
-  if (data->empty() || c->dead) {
+void Transport::Flush(Conn* c) {
+  while (!c->dead && c->out_off < c->out.size()) {
+    // MSG_NOSIGNAL: a peer that vanished mid-response must surface as
+    // EPIPE (we close the connection), not SIGPIPE the whole process.
+    const ssize_t n = send(c->fd, c->out.data() + c->out_off,
+                           c->out.size() - c->out_off, MSG_NOSIGNAL);
+    counters_.syscalls++;
+    if (n > 0) {
+      c->out_off += static_cast<size_t>(n);
+      counters_.bytes_written += static_cast<uint64_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // The EPOLLOUT edge resumes. Drop the sent prefix once it outweighs
+      // the rest, so appends behind a slow peer stay amortized O(1).
+      if (c->out_off >= c->out.size() - c->out_off) {
+        c->out.erase(c->out.begin(),
+                     c->out.begin() + static_cast<ptrdiff_t>(c->out_off));
+        c->out_off = 0;
+      }
+      return;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    CloseInternal(c);
     return;
   }
-  c->queued_bytes += data->size();
-  c->sendq.push_back(TakeBuffer(data));
-  // Try immediately: with edge-triggered EPOLLOUT, the writable edge for a
-  // never-full socket never fires — flush eagerly, fall back to the edge
-  // only on EAGAIN.
-  FlushSendQueue(c);
-}
-
-size_t Transport::SendQueueBytes(const Conn* c) const {
-  return c->queued_bytes;
-}
-
-void Transport::ResumeRead(Conn* c) {
-  if (!c->read_paused || c->dead) {
-    return;
-  }
-  c->read_paused = false;
-  if (c->read_ready) {
-    // The edge already fired while paused; re-enter the read loop now, no
-    // new EPOLLIN will announce the buffered data.
-    ReadReady(c);
+  if (!c->dead) {
+    c->out.clear();
+    c->out_off = 0;
+    if (c->closing) {
+      CloseInternal(c);
+    }
   }
 }
 
-void Transport::Close(Conn* c) { CloseInternal(c, /*notify=*/false); }
-
-std::vector<char> Transport::TakeBuffer(std::vector<char>* data) {
-  std::vector<char> owned;
-  if (!free_bufs_.empty()) {
-    owned = std::move(free_bufs_.back());
-    free_bufs_.pop_back();
-  }
-  owned.swap(*data);
-  data->clear();
-  return owned;
-}
-
-void Transport::RecycleBuffer(std::vector<char>&& buf) {
-  if (free_bufs_.size() < 16) {
-    buf.clear();
-    free_bufs_.push_back(std::move(buf));
+void Transport::Close(Conn* c) {
+  c->closing = true;
+  if (c->out_off == c->out.size()) {
+    CloseInternal(c);
   }
 }
 
@@ -207,56 +191,50 @@ void Transport::HandleAccept() {
   }
 }
 
-// Sends until EAGAIN or the queue drains. False if the connection died
-// (closed, with OnClose deferred to the end of the dispatch).
-bool Transport::FlushSendQueue(Conn* c) {
-  while (!c->sendq.empty()) {
-    std::vector<char>& front = c->sendq.front();
-    // MSG_NOSIGNAL: a client that vanished mid-response must surface as
-    // EPIPE (we close the connection), not SIGPIPE the whole process.
-    const ssize_t n = send(c->fd, front.data() + c->front_off,
-                           front.size() - c->front_off, MSG_NOSIGNAL);
-    counters_.syscalls++;
-    if (n > 0) {
-      c->front_off += static_cast<size_t>(n);
-      c->queued_bytes -= static_cast<size_t>(n);
-      if (c->front_off == front.size()) {
-        RecycleBuffer(std::move(front));
-        c->sendq.pop_front();
-        c->front_off = 0;
-      }
-      continue;
+// Runs the handler on the buffered input and sends what it rendered. Runs
+// it again while it stopped at the watermark and the send made room; if the
+// socket stays full, the EPOLLOUT edge resumes it (`blocked`).
+void Transport::Serve(Conn* c) {
+  for (;;) {
+    const size_t rendered = c->out.size();
+    handler_->OnInput(c, c->ud);
+    c->blocked = OutFull(c) && c->in.size() > 0;
+    if (c->out.size() != rendered) {
+      Flush(c);  // unchanged output already met EAGAIN or is empty
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return true;  // the EPOLLOUT edge will resume
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    CloseInternal(c, /*notify=*/true);
-    return false;
-  }
-  return true;
-}
-
-// Reads until EAGAIN, pushing bytes through the handler as they land (the
-// handler parses and may Send/Close re-entrantly).
-void Transport::ReadReady(Conn* c) {
-  while (!c->dead) {
-    char* buf = nullptr;
-    size_t cap = 0;
-    if (!handler_->GetReadBuffer(c, c->ud, &buf, &cap)) {
-      c->read_paused = true;  // read_ready stays set for ResumeRead
+    if (!c->blocked || c->closing || OutFull(c)) {
       return;
     }
-    const ssize_t n = read(c->fd, buf, cap);
+  }
+}
+
+// Reads until EAGAIN, serving the handler after every read. While the
+// handler is blocked at the watermark it consumes nothing, so reads only
+// fill `in`; once `in` is full (or at EOF), reading pauses with read_ready
+// still set, and the Poll after the drain resumes it.
+void Transport::ReadReady(Conn* c) {
+  while (!c->closing) {
+    if (!c->in.EnsureWritable(kMinReadSpace)) {
+      if (!c->blocked) {
+        // OnInput saw all of `in` with room in `out` and consumed nothing:
+        // no frame fits in the buffer. Drop the connection to bound memory.
+        CloseInternal(c);
+      }
+      return;
+    }
+    const ssize_t n = read(c->fd, c->in.WritePtr(), c->in.WriteCapacity());
     counters_.syscalls++;
     if (n > 0) {
-      handler_->OnData(c, c->ud, static_cast<size_t>(n));
+      c->in.CommitWrite(static_cast<size_t>(n));
+      counters_.bytes_read += static_cast<uint64_t>(n);
+      Serve(c);
       continue;
     }
     if (n == 0) {
-      CloseInternal(c, /*notify=*/true);
+      if (!c->blocked) {
+        c->read_ready = false;
+        Close(c);  // the peer is done sending; finish the replies first
+      }
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -266,25 +244,25 @@ void Transport::ReadReady(Conn* c) {
     if (errno == EINTR) {
       continue;
     }
-    CloseInternal(c, /*notify=*/true);
+    CloseInternal(c);
     return;
   }
 }
 
-void Transport::CloseInternal(Conn* c, bool notify) {
+void Transport::CloseInternal(Conn* c) {
   if (c->dead) {
     return;
   }
   c->dead = true;
+  c->closing = true;
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->fd, nullptr);
   close(c->fd);
   counters_.syscalls += 2;
   c->fd = -1;
   // The Conn stays allocated until the dispatch batch ends (later events in
-  // the same epoll_wait return may still point at it), and OnClose is
-  // deferred with it: a death detected inside a handler-initiated Send()
-  // must not re-enter the handler while it still holds the connection.
-  dead_.push_back({c, notify});
+  // the same epoll_wait return may still point at it, and a handler that
+  // called Close() may still hold it), and OnClose is deferred with it.
+  dead_.push_back(c);
   for (size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i] == c) {
       conns_[i] = conns_.back();
@@ -297,11 +275,9 @@ void Transport::CloseInternal(Conn* c, bool notify) {
 void Transport::DeliverClosures() {
   // OnClose may Close() other conns, growing dead_; index loop, no iterators.
   for (size_t i = 0; i < dead_.size(); ++i) {
-    if (dead_[i].second) {
-      handler_->OnClose(dead_[i].first, dead_[i].first->ud);
-    }
+    handler_->OnClose(dead_[i], dead_[i]->ud);
   }
-  for (auto& [c, notify] : dead_) {
+  for (Conn* c : dead_) {
     delete c;
   }
   dead_.clear();

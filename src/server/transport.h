@@ -1,20 +1,26 @@
-// The event loop of one cache-server worker or load-generator thread:
-// edge-triggered epoll with per-fd nonblocking read/send syscalls.
+// The event loop of one cache-server worker or load-generator thread: a
+// pull-style readiness loop over edge-triggered epoll with per-fd
+// nonblocking read/send syscalls.
 //
-// A Transport accepts connections, moves bytes between sockets and the
-// protocol layer, and wakes up for shutdown. The protocol layer implements
-// Transport::Handler:
+// The transport owns each connection's buffers: `in` (bytes read, not yet
+// consumed by the handler) and `out` (bytes the handler rendered, not yet
+// accepted by the kernel). On an EPOLLIN edge it reads into `in` until
+// EAGAIN or until `in` is full; after each read it calls the handler's
+// OnInput once, which parses what is buffered and appends replies to `out`,
+// and then sends `out` eagerly, falling back to the EPOLLOUT edge on EAGAIN.
 //
-//  * incoming bytes are pushed: the transport asks the handler for writable
-//    space (GetReadBuffer) and commits bytes into it (OnData). The handler
-//    parses during OnData; views into its own buffer stay valid. Returning
-//    false from GetReadBuffer pauses reading (backpressure) until
-//    ResumeRead().
+// Backpressure lives here too. The handler stops consuming input while
+// OutFull() holds; the transport keeps reading until `in` is full and then
+// pauses, so TCP flow control backs the peer up. When a drain brings `out`
+// back under the watermark, the transport runs OnInput again and then the
+// pending read. A full `in` with `out` under the watermark means the handler
+// could not parse a frame out of a whole buffer: the transport closes the
+// connection, which bounds what one peer can make it hold.
 //
-//  * outgoing bytes are owned by the transport: Send() swaps the caller's
-//    buffer into the transport's per-connection send queue (no copy; the
-//    caller gets back an empty buffer, possibly with recycled capacity).
-//    OnWritable fires when the queue fully drains.
+// Invariant: the handler is called only from Poll. Every method a callback
+// may call (OutFull, Flush, Close, Adopt, Wake) returns without calling the
+// handler; a close they cause is delivered through OnClose at the end of the
+// dispatch batch. So no callback ever re-enters another.
 //
 // Threading: a Transport instance belongs to one thread. Only Wake() may be
 // called from other threads.
@@ -24,8 +30,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "src/server/ring_buffer.h"
 
 namespace s3fifo {
 
@@ -33,16 +40,35 @@ namespace s3fifo {
 // fields — publish through atomics to read them from elsewhere). Together
 // they make syscalls/op and events/wait observable without perf(1).
 struct TransportCounters {
-  uint64_t syscalls = 0;  // every kernel crossing made by the data plane
-  uint64_t waits = 0;     // epoll_wait calls
-  uint64_t events = 0;    // readiness events dispatched
-  uint64_t accepts = 0;   // connections accepted by the transport
+  uint64_t syscalls = 0;       // every kernel crossing made by the data plane
+  uint64_t waits = 0;          // epoll_wait calls
+  uint64_t events = 0;         // readiness events dispatched
+  uint64_t bytes_read = 0;     // bytes read from connections
+  uint64_t bytes_written = 0;  // bytes the kernel accepted from `out`
 };
 
 class Transport {
  public:
-  // Per-connection state owned by the transport (defined in transport.cc).
-  struct Conn;
+  // Parsing pauses while more than this many bytes wait in `out`.
+  static constexpr size_t kOutHighWatermark = 4 << 20;
+
+  // One connection. The handler reads `in` (calling in.Consume for what it
+  // used), appends to `out` and owns `ud`; the rest is the transport's.
+  class Conn {
+   public:
+    RingBuffer in;
+    std::vector<char> out;
+    void* ud = nullptr;
+
+   private:
+    friend class Transport;
+    int fd = -1;
+    size_t out_off = 0;       // out[0, out_off) already sent
+    bool read_ready = false;  // an EPOLLIN edge not yet read to EAGAIN
+    bool blocked = false;     // OnInput stopped at the watermark
+    bool closing = false;     // close once `out` drains; no more input
+    bool dead = false;        // fd closed; freed at the end of the dispatch
+  };
 
   class Handler {
    public:
@@ -50,20 +76,12 @@ class Transport {
     // A connection was accepted. Returns the opaque state (`ud`) passed to
     // every later callback for this connection; may not be null.
     virtual void* OnAccept(Conn* conn) = 0;
-    // The transport has incoming bytes. Return >=1 byte of writable space,
-    // or false to pause reading until ResumeRead() (the bytes stay in the
-    // socket; TCP flow control eventually takes over).
-    virtual bool GetReadBuffer(Conn* conn, void* ud, char** buf,
-                               size_t* cap) = 0;
-    // `n` bytes were written into the space returned by the immediately
-    // preceding GetReadBuffer call. Parse and execute here; calling Send()
-    // and Close() on any conn of this transport is allowed.
-    virtual void OnData(Conn* conn, void* ud, size_t n) = 0;
-    // The send queue drained to empty (all queued output reached the
-    // kernel). Check close-after-flush and backpressure watermarks here.
-    virtual void OnWritable(Conn* conn, void* ud) = 0;
-    // Peer closed or the connection errored; the transport already closed
-    // the fd and will free its Conn. Release `ud`.
+    // `conn->in` holds input. Consume every complete frame, appending the
+    // replies to `conn->out`, but stop while OutFull(conn): the transport
+    // calls again once `out` drains.
+    virtual void OnInput(Conn* conn, void* ud) = 0;
+    // The connection is closed (by the peer, an error, or Close()) and its
+    // fd is gone; `conn` is freed after this returns. Release `ud`.
     virtual void OnClose(Conn* conn, void* ud) = 0;
   };
 
@@ -79,7 +97,7 @@ class Transport {
 
   // One event-loop iteration: waits up to `timeout_ms` (-1 = forever) for
   // events and dispatches them through the handler. Returns false only on
-  // an unrecoverable epoll failure.
+  // an unrecoverable epoll failure. Never call it from a callback.
   bool Poll(int timeout_ms);
 
   // Thread-safe: interrupts a concurrent (or the next) Poll().
@@ -89,33 +107,26 @@ class Transport {
   // The transport owns the fd from here on.
   Conn* Adopt(int fd, void* ud);
 
-  // Queues `*data` for sending, swapping it into the transport (it comes
-  // back empty, possibly with recycled capacity). The transport flushes as
-  // the socket allows; OnWritable fires when everything queued has drained.
-  void Send(Conn* conn, std::vector<char>* data);
+  // True while more than kOutHighWatermark bytes wait in `conn->out`.
+  static bool OutFull(const Conn* conn) {
+    return conn->out.size() - conn->out_off > kOutHighWatermark;
+  }
 
-  // Bytes queued but not yet accepted by the kernel (watermark checks).
-  size_t SendQueueBytes(const Conn* conn) const;
+  // Sends `conn->out` now, as far as the socket takes it; the EPOLLOUT edge
+  // sends the rest. Only needed outside OnInput: the transport flushes
+  // after every OnInput call.
+  void Flush(Conn* conn);
 
-  // Re-enables reading after GetReadBuffer returned false. Reads what the
-  // socket already holds before returning, so OnData may re-enter the
-  // handler from here.
-  void ResumeRead(Conn* conn);
-
-  // Closes the connection now (pending unsent output is dropped — callers
-  // drain via OnWritable first if they care). Does NOT call OnClose: the
-  // caller initiated it and cleans up its own state.
+  // Stops reading and closes the connection once `out` has drained.
   void Close(Conn* conn);
 
   const TransportCounters& counters() const { return counters_; }
 
  private:
-  std::vector<char> TakeBuffer(std::vector<char>* data);
-  void RecycleBuffer(std::vector<char>&& buf);
   void HandleAccept();
-  bool FlushSendQueue(Conn* c);
   void ReadReady(Conn* c);
-  void CloseInternal(Conn* c, bool notify);
+  void Serve(Conn* c);
+  void CloseInternal(Conn* c);
   void DeliverClosures();
 
   Handler* handler_ = nullptr;
@@ -126,8 +137,7 @@ class Transport {
   char listen_tag_ = 0;
   char wake_tag_ = 0;
   std::vector<Conn*> conns_;
-  std::vector<std::pair<Conn*, bool>> dead_;  // (conn, deliver OnClose)
-  std::vector<std::vector<char>> free_bufs_;
+  std::vector<Conn*> dead_;  // closed; OnClose and free at dispatch end
   TransportCounters counters_;
 };
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -178,6 +179,13 @@ TEST(ConcurrentS3FifoTest, HitPathDoesNotMutateQueues) {
     ASSERT_TRUE(cache.Get(1));
   }
   EXPECT_EQ(cache.ApproxSize(), size_after_insert);
+}
+
+// A zero capacity used to abort the caller with an uncaught length_error.
+TEST(ConcurrentS3FifoTest, ZeroCapacityThrowsInvalidArgument) {
+  ConcurrentCacheConfig config;
+  config.capacity_objects = 0;
+  EXPECT_THROW(ConcurrentS3Fifo cache(config), std::invalid_argument);
 }
 
 // §5.3: "we verified that the miss ratio results from the prototype are

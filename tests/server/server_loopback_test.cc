@@ -255,11 +255,11 @@ TEST(CacheServerTest, QuitClosesTheConnection) {
 
 // A client pipelines far more gets than the server may answer before the
 // client reads, and only then drains. The server blocks parsing at the out
-// watermark and pauses reading once its in-buffer fills. When a drain
-// unblocks it, Pump resumes reading, which re-enters OnData and Pump with
-// the outer Pump still on the stack. The nested reads used to fill the
-// in-buffer and close the connection as oversized, freeing it under the
-// outer Pump: heap-use-after-free under ASan, a reset or a crash without.
+// watermark and pauses reading once its in-buffer fills; a drain resumes
+// parsing and then the paused read. When a resumed read could re-enter the
+// parser with an outer parse pass still on the stack, the nested reads
+// filled the in-buffer and closed the connection as oversized, freeing it
+// under the outer pass: heap-use-after-free under ASan, a crash without.
 TEST(CacheServerTest, DeepPipelineWithoutReadingGetsEveryReply) {
   constexpr uint64_t kGets = 1000000;
   ServerConfig config = SmallServerConfig();
@@ -329,6 +329,19 @@ TEST(CacheServerTest, DeepPipelineWithoutReadingGetsEveryReply) {
   EXPECT_EQ(stats.cmd_get, kGets);
   EXPECT_EQ(stats.get_hits, kGets);
   server.Stop();
+}
+
+// A closed loop at depth 0 never issues a request, so it used to poll
+// forever; RunLoadGen refuses it before connecting.
+TEST(LoadGenTest, ClosedLoopWithZeroDepthFails) {
+  std::vector<Request> reqs(10);
+  const Trace trace(std::move(reqs), "depth0");
+  LoadGenConfig lg;
+  lg.port = 1;  // never contacted
+  lg.pipeline_depth = 0;
+  const LoadGenResult r = RunLoadGen(lg, trace);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("pipeline_depth"), std::string::npos) << r.error;
 }
 
 // --- The tentpole acceptance check -----------------------------------------

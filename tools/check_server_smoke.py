@@ -11,12 +11,18 @@ Starts s3fifo_server on an ephemeral port, then:
      requested op completed with a plausible hit ratio;
   3. re-reads stats and checks the server counted at least the loadgen ops
      and that the data-plane counters are populated;
-  4. sends SIGINT and verifies a clean exit with a shutdown stats line.
+  4. sends `get 1` and shuts its write side in one burst: a complete reply,
+     then EOF;
+  5. sends SIGINT and verifies a clean exit with a shutdown stats line.
 
 Then the overload step starts a one-worker server and offers it an open
 loop far past its saturation rate (2 loadgen threads, 4 connections at
 depth 8, 4M ops/s for 2 s). The server must survive: afterwards it still
 answers stats, and it exits 0 on one SIGINT.
+
+The argument step checks that both binaries reject bad sizes with the usage
+and exit status 2 (a zero cache capacity used to abort with status 134, and
+a zero pipeline depth used to hang the load generator).
 
 Exits non-zero with a diagnostic on any violation.
 """
@@ -90,6 +96,44 @@ def check_protocol(port):
     print("server smoke: protocol round-trip OK")
 
 
+def check_half_close(port):
+    """A request and a half-close in one burst: the reply, then EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+        s.sendall(b"get 1\r\n")
+        s.shutdown(socket.SHUT_WR)
+        resp = b""
+        while True:
+            chunk = s.recv(65536)
+            if not chunk:
+                break
+            resp += chunk
+    if not resp.endswith(b"END\r\n"):
+        fail(f"half-close: incomplete reply before EOF: {resp!r}")
+    print("server smoke: half-close OK (reply, then EOF)")
+
+
+def check_bad_args(server_bin, loadgen_bin):
+    """Bad sizes print the usage and exit 2; they never start or hang."""
+    cases = [
+        [server_bin, "--capacity", "0"],
+        [server_bin, "--capacity", "abc"],
+        [server_bin, "--max-batch", "8"],
+        # --port 1 is valid, so only the bad value can stop these.
+        [loadgen_bin, "--port", "1", "--depth", "0"],
+        [loadgen_bin, "--port", "1", "--connections", "2x"],
+    ]
+    for argv in cases:
+        try:
+            run = subprocess.run(argv, capture_output=True, text=True,
+                                 timeout=10)
+        except subprocess.TimeoutExpired:
+            fail(f"{' '.join(argv[1:])}: still running after 10 s")
+        if run.returncode != 2 or "usage:" not in run.stderr:
+            fail(f"{argv[0]} {' '.join(argv[1:])}: exit {run.returncode}, "
+                 f"expected 2 with the usage (stderr: {run.stderr.strip()!r})")
+    print(f"server smoke: {len(cases)} bad-argument runs exit 2")
+
+
 def start_server(server_bin, *args):
     """Starts the server on an ephemeral port; returns (process, port)."""
     server = subprocess.Popen(
@@ -126,6 +170,7 @@ def run_basic(server_bin, loadgen_bin):
                                 "--capacity", "20000")
     try:
         check_protocol(port)
+        check_half_close(port)
 
         ops = 50000
         load = subprocess.run(
@@ -202,6 +247,7 @@ def run_overload(server_bin, loadgen_bin):
 def main(argv):
     server_bin = argv[1] if len(argv) > 1 else "./build/src/s3fifo_server"
     loadgen_bin = argv[2] if len(argv) > 2 else "./build/src/s3fifo_loadgen"
+    check_bad_args(server_bin, loadgen_bin)
     run_basic(server_bin, loadgen_bin)
     run_overload(server_bin, loadgen_bin)
     print("server smoke OK")
