@@ -207,23 +207,30 @@ inline SweepSummary RunMissRatioSweep(double scale, const std::vector<PolicyVari
           cells.push_back(std::move(cell));
           grid.push_back(cells.back().capacity);
         }
-        // One-pass policies: one traversal each for the whole size grid.
-        const auto one_pass = [&](const std::string& policy, const std::string& params) {
-          CacheConfig config;
-          config.params = params;
-          return OnePassMrc(view, policy, grid, config).results;
-        };
+        // One-pass policies: one traversal each for the whole size grid,
+        // all over one interning of the trace.
+        std::vector<MrcPolicy> onepass_policies;
         if (fifo_onepass) {
-          const std::vector<SimResult> r = one_pass("fifo", "");
-          for (size_t si = 0; si < cells.size(); ++si) {
-            cells[si].fifo = r[si];
-          }
+          onepass_policies.push_back({"fifo"});
         }
         for (const size_t vi : onepass_vis) {
-          const std::vector<SimResult> r = one_pass(variants[vi].policy, variants[vi].params);
+          MrcPolicy p{variants[vi].policy};
+          p.config.params = variants[vi].params;
+          onepass_policies.push_back(std::move(p));
+        }
+        const std::vector<MrcCurve> curves = OnePassMrc(view, onepass_policies, grid);
+        auto curve = curves.begin();
+        if (fifo_onepass) {
           for (size_t si = 0; si < cells.size(); ++si) {
-            cells[si].results[vi] = r[si];
+            cells[si].fifo = curve->results[si];
           }
+          ++curve;
+        }
+        for (const size_t vi : onepass_vis) {
+          for (size_t si = 0; si < cells.size(); ++si) {
+            cells[si].results[vi] = curve->results[si];
+          }
+          ++curve;
         }
         // The rest: per size, FIFO (when not one-pass) plus every other
         // variant streamed once through MultiSimulate.

@@ -54,14 +54,15 @@ struct Ring {
 constexpr uint32_t kResidentBit = 0x80000000u;
 
 // The id -> dense-index mapping is policy- and size-independent, so it is
-// built ONCE per curve (InternTrace below) instead of probed per request
-// inside every pass. This matters on miss-heavy traces: brute force's
-// per-size hash table is capacity-bounded and mostly cache-resident, while a
-// one-pass intern map spans the whole footprint — probing it per request was
-// the pass's dominant cold miss. With dense ids precomputed, the request
-// path reads a sequential uint32 array (hardware-prefetched) and one
-// perfectly predicted strided words line, and every engine can pre-size its
-// state for the exact object count instead of growing incrementally.
+// built ONCE per OnePassMrc call, for all its policies (InternTrace below),
+// instead of probed per request inside every pass. This matters on
+// miss-heavy traces: brute force's per-size hash table is capacity-bounded
+// and mostly cache-resident, while a one-pass intern map spans the whole
+// footprint — probing it per request was the pass's dominant cold miss.
+// With dense ids precomputed, the request path reads a sequential uint32
+// array (hardware-prefetched) and one perfectly predicted strided words
+// line, and every engine can pre-size its state for the exact object count
+// instead of growing incrementally.
 class EngineCore {
  public:
   explicit EngineCore(size_t num_sizes)
@@ -1042,15 +1043,22 @@ bool MrcEngineSupports(const std::string& policy, const CacheConfig& config) {
 MrcCurve OnePassMrc(const TraceView& view, const std::string& policy,
                     const std::vector<uint64_t>& sizes, const CacheConfig& base_config,
                     uint64_t warmup_requests) {
-  if (!MrcEngineSupports(policy, base_config)) {
-    throw std::invalid_argument("one-pass MRC engine does not support policy '" + policy +
-                                "' with params '" + base_config.params + "'");
+  return std::move(OnePassMrc(view, {{policy, base_config}}, sizes, warmup_requests)[0]);
+}
+
+std::vector<MrcCurve> OnePassMrc(const TraceView& view, const std::vector<MrcPolicy>& policies,
+                                 const std::vector<uint64_t>& sizes,
+                                 uint64_t warmup_requests) {
+  std::vector<MrcCurve> curves;
+  for (const MrcPolicy& p : policies) {
+    if (!MrcEngineSupports(p.policy, p.config)) {
+      throw std::invalid_argument("one-pass MRC engine does not support policy '" + p.policy +
+                                  "' with params '" + p.config.params + "'");
+    }
+    curves.push_back({sizes, {}, p.policy});
   }
-  MrcCurve curve;
-  curve.policy = policy;
-  curve.sizes = sizes;
-  if (sizes.empty()) {
-    return curve;
+  if (policies.empty() || sizes.empty()) {
+    return curves;
   }
   for (const uint64_t size : sizes) {
     if (size == 0) {
@@ -1065,23 +1073,23 @@ MrcCurve OnePassMrc(const TraceView& view, const std::string& policy,
   unique_sizes.erase(std::unique(unique_sizes.begin(), unique_sizes.end()), unique_sizes.end());
 
   const DenseIds dense = InternTrace(view);
-  std::vector<SimResult> by_unique;
-  by_unique.reserve(unique_sizes.size());
-  for (size_t start = 0; start < unique_sizes.size(); start += kMaxSizesPerPass) {
-    const size_t end = std::min(unique_sizes.size(), start + kMaxSizesPerPass);
-    const std::vector<uint64_t> chunk(unique_sizes.begin() + start, unique_sizes.begin() + end);
-    std::vector<SimResult> chunk_results =
-        RunChunk(view, dense, policy, chunk, base_config, warmup_requests);
-    by_unique.insert(by_unique.end(), chunk_results.begin(), chunk_results.end());
+  for (size_t pi = 0; pi < policies.size(); ++pi) {
+    const auto& [policy, config] = policies[pi];
+    std::vector<SimResult> by_unique;
+    by_unique.reserve(unique_sizes.size());
+    for (size_t start = 0; start < unique_sizes.size(); start += kMaxSizesPerPass) {
+      const size_t end = std::min(unique_sizes.size(), start + kMaxSizesPerPass);
+      const std::vector<uint64_t> chunk(unique_sizes.begin() + start, unique_sizes.begin() + end);
+      std::vector<SimResult> chunk_results =
+          RunChunk(view, dense, policy, chunk, config, warmup_requests);
+      by_unique.insert(by_unique.end(), chunk_results.begin(), chunk_results.end());
+    }
+    for (const uint64_t size : sizes) {
+      const auto at = std::lower_bound(unique_sizes.begin(), unique_sizes.end(), size);
+      curves[pi].results.push_back(by_unique[at - unique_sizes.begin()]);
+    }
   }
-
-  curve.results.reserve(sizes.size());
-  for (const uint64_t size : sizes) {
-    const size_t at = static_cast<size_t>(
-        std::lower_bound(unique_sizes.begin(), unique_sizes.end(), size) - unique_sizes.begin());
-    curve.results.push_back(by_unique[at]);
-  }
-  return curve;
+  return curves;
 }
 
 std::vector<SimResult> ComputeMrcResults(const TraceView& view, const std::string& policy,

@@ -69,6 +69,19 @@ MrcCurve OnePassMrc(const TraceView& view, const std::string& policy,
                     const CacheConfig& base_config = {1, true, "", 42},
                     uint64_t warmup_requests = 0);
 
+// One policy of a multi-policy OnePassMrc call.
+struct MrcPolicy {
+  std::string policy;
+  CacheConfig config = {1, true, "", 42};
+};
+
+// OnePassMrc for each of `policies` over the same grid, interning the
+// trace's ids once for all of them; the curves are index-aligned with
+// `policies` and equal what one call per policy returns.
+std::vector<MrcCurve> OnePassMrc(const TraceView& view, const std::vector<MrcPolicy>& policies,
+                                 const std::vector<uint64_t>& sizes,
+                                 uint64_t warmup_requests = 0);
+
 // The brute-force reference: one full Simulate() per size, zero-copy over
 // the view, with the same warmup rule as OnePassMrc. Any registered policy.
 std::vector<SimResult> ComputeMrcResults(const TraceView& view, const std::string& policy,

@@ -123,7 +123,6 @@ ReplayCase ParseReplay(const std::string& text) {
         throw std::invalid_argument(err.str());
       }
       r.op = TokenToOp(op);
-      r.time = replay.requests.size();
       replay.requests.push_back(r);
     } else {
       throw std::invalid_argument("replay: unknown key '" + key + "'");

@@ -38,8 +38,6 @@ std::vector<Request> GenerateFuzzRequests(const FuzzConfig& config) {
 
   while (reqs.size() < config.num_requests) {
     Request r;
-    r.time = reqs.size();
-
     if (scan_remaining > 0) {
       --scan_remaining;
       r.id = next_scan_key++;
@@ -125,7 +123,6 @@ std::vector<Request> GenerateFlashFuzzRequests(const FlashFuzzConfig& config) {
   reqs.reserve(config.num_requests);
   for (uint64_t i = 0; i < config.num_requests; ++i) {
     Request r;
-    r.time = i;
     r.id = zipf.Sample(rng) - 1;
     const double op_dice = rng.NextDouble();
     if (op_dice < config.p_delete) {

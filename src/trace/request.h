@@ -20,13 +20,13 @@ struct Request {
   uint64_t id = 0;
   uint32_t size = 1;  // bytes; 1 in count-based (slab) simulations
   OpType op = OpType::kGet;
-  uint32_t tenant = 0;
-  uint64_t time = 0;  // logical timestamp (request index) unless a trace carries real time
   // Index of the next request to the same id, filled by AnnotateNextAccess();
   // kNeverAccessed when unknown or absent. Consumed by Belady and by the
   // demotion-precision analysis.
   uint64_t next_access = kNeverAccessed;
 };
+// Every resident trace holds one per request; its index is its logical time.
+static_assert(sizeof(Request) == 24, "Request must stay 24 bytes");
 
 }  // namespace s3fifo
 

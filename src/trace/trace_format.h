@@ -9,14 +9,15 @@
 //   header (96 bytes, little-endian, no implicit padding)
 //   name bytes               (name_len, zero-padded to 8)
 //   id        u64 × n
-//   time      u64 × n
+//   time      u64 × n        (written as the request index)
 //   next_access u64 × n      (only when kTraceFlagAnnotated is set)
 //   size      u32 × n        (zero-padded to 8)
-//   tenant    u32 × n        (zero-padded to 8)
+//   tenant    u32 × n        (written as 0; zero-padded to 8)
 //   op        u8  × n        (zero-padded to 8)
 //
-// v1 (AoS 24-byte records, no tenant/next_access) remains readable through
-// ReadBinaryTrace.
+// The time and tenant columns are written for compatibility with earlier
+// files and ignored on read: a Request holds neither. v1 (AoS 24-byte
+// records, no tenant/next_access) remains readable through ReadBinaryTrace.
 #ifndef SRC_TRACE_TRACE_FORMAT_H_
 #define SRC_TRACE_TRACE_FORMAT_H_
 
@@ -55,15 +56,13 @@ struct TraceFileHeaderV2 {
 };
 static_assert(sizeof(TraceFileHeaderV2) == 96, "v2 trace header must be packed to 96 bytes");
 
-// Byte offsets of each section for a given request count / flags / name
-// length. All offsets are multiples of 8.
+// Byte offsets of each section a reader uses, for a given request count /
+// flags / name length. All offsets are multiples of 8.
 struct TraceFileLayout {
   uint64_t name_offset = 0;
   uint64_t id_offset = 0;
-  uint64_t time_offset = 0;
   uint64_t next_access_offset = 0;  // 0 when the trace is not annotated
   uint64_t size_offset = 0;
-  uint64_t tenant_offset = 0;
   uint64_t op_offset = 0;
   uint64_t file_size = 0;
 
@@ -73,15 +72,13 @@ struct TraceFileLayout {
     TraceFileLayout l;
     l.name_offset = sizeof(TraceFileHeaderV2);
     l.id_offset = l.name_offset + PadTo8(name_len);
-    l.time_offset = l.id_offset + 8 * n;
-    uint64_t pos = l.time_offset + 8 * n;
+    uint64_t pos = l.id_offset + 2 * 8 * n;  // the id and time columns
     if (annotated) {
       l.next_access_offset = pos;
       pos += 8 * n;
     }
     l.size_offset = pos;
-    l.tenant_offset = l.size_offset + PadTo8(4 * n);
-    l.op_offset = l.tenant_offset + PadTo8(4 * n);
+    l.op_offset = l.size_offset + 2 * PadTo8(4 * n);  // the size and tenant columns
     l.file_size = l.op_offset + PadTo8(n);
     return l;
   }

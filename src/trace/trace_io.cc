@@ -79,12 +79,7 @@ Trace ReadBinaryTraceV1(std::ifstream& in, const std::string& path, uint64_t fil
     if (rec.op > static_cast<uint8_t>(OpType::kDelete)) {
       Fail("corrupt op byte in trace", path);
     }
-    Request r;
-    r.id = rec.id;
-    r.size = rec.size;
-    r.op = static_cast<OpType>(rec.op);
-    r.time = rec.time;
-    reqs.push_back(r);
+    reqs.push_back({.id = rec.id, .size = rec.size, .op = static_cast<OpType>(rec.op)});
   }
   return Trace(std::move(reqs));
 }
@@ -128,13 +123,11 @@ Trace ReadBinaryTraceV2(std::ifstream& in, const std::string& path, uint64_t fil
   std::vector<uint32_t> u32s;
   std::vector<uint8_t> u8s;
   read_column(layout.id_offset, &u64s, [](Request& r, uint64_t v) { r.id = v; });
-  read_column(layout.time_offset, &u64s, [](Request& r, uint64_t v) { r.time = v; });
   if (annotated) {
     read_column(layout.next_access_offset, &u64s,
                 [](Request& r, uint64_t v) { r.next_access = v; });
   }
   read_column(layout.size_offset, &u32s, [](Request& r, uint32_t v) { r.size = v; });
-  read_column(layout.tenant_offset, &u32s, [](Request& r, uint32_t v) { r.tenant = v; });
   read_column(layout.op_offset, &u8s, [](Request& r, uint8_t v) { r.op = static_cast<OpType>(v); });
   if (!in) {
     Fail("truncated trace body", path);
@@ -179,21 +172,21 @@ void WriteBinaryTrace(const Trace& trace, const std::string& path) {
   WritePad(out, trace.name().size());
 
   const std::vector<Request>& reqs = trace.requests();
-  auto write_column = [&](auto getter, uint64_t value_size) {
-    for (const Request& r : reqs) {
-      const auto v = getter(r);
+  auto write_column = [&](auto value) {
+    for (uint64_t i = 0; i < reqs.size(); ++i) {
+      const auto v = value(i);
       out.write(reinterpret_cast<const char*>(&v), static_cast<std::streamsize>(sizeof(v)));
     }
-    WritePad(out, value_size * reqs.size());
+    WritePad(out, sizeof(value(0)) * reqs.size());
   };
-  write_column([](const Request& r) { return r.id; }, 8);
-  write_column([](const Request& r) { return r.time; }, 8);
+  write_column([&](uint64_t i) { return reqs[i].id; });
+  write_column([](uint64_t i) { return i; });  // time: the request index
   if (trace.annotated()) {
-    write_column([](const Request& r) { return r.next_access; }, 8);
+    write_column([&](uint64_t i) { return reqs[i].next_access; });
   }
-  write_column([](const Request& r) { return r.size; }, 4);
-  write_column([](const Request& r) { return r.tenant; }, 4);
-  write_column([](const Request& r) { return static_cast<uint8_t>(r.op); }, 1);
+  write_column([&](uint64_t i) { return reqs[i].size; });
+  write_column([](uint64_t) { return uint32_t{0}; });  // tenant
+  write_column([&](uint64_t i) { return static_cast<uint8_t>(reqs[i].op); });
   if (!out) {
     Fail("short write on trace file", path);
   }
@@ -231,8 +224,10 @@ void WriteCsvTrace(const Trace& trace, const std::string& path) {
     Fail("cannot open trace file for writing", path);
   }
   out << "time,id,size,op\n";
-  for (const Request& r : trace.requests()) {
-    out << r.time << ',' << r.id << ',' << r.size << ',' << OpToString(r.op) << '\n';
+  const std::vector<Request>& reqs = trace.requests();
+  for (uint64_t i = 0; i < reqs.size(); ++i) {
+    const Request& r = reqs[i];
+    out << i << ',' << r.id << ',' << r.size << ',' << OpToString(r.op) << '\n';
   }
   if (!out) {
     Fail("short write on trace file", path);
@@ -257,24 +252,18 @@ Trace ReadCsvTrace(const std::string& path) {
     }
     first = false;
     std::istringstream ls(line);
-    std::string field;
+    const auto next_field = [&] {
+      std::string field;
+      if (!std::getline(ls, field, ',')) {
+        Fail("malformed CSV line: " + line, path);
+      }
+      return field;
+    };
+    static_cast<void>(std::stoull(next_field()));  // the time column is checked, then dropped
     Request r;
-    if (!std::getline(ls, field, ',')) {
-      Fail("malformed CSV line: " + line, path);
-    }
-    r.time = std::stoull(field);
-    if (!std::getline(ls, field, ',')) {
-      Fail("malformed CSV line: " + line, path);
-    }
-    r.id = std::stoull(field);
-    if (!std::getline(ls, field, ',')) {
-      Fail("malformed CSV line: " + line, path);
-    }
-    r.size = static_cast<uint32_t>(std::stoul(field));
-    if (!std::getline(ls, field, ',')) {
-      Fail("malformed CSV line: " + line, path);
-    }
-    r.op = OpFromString(field);
+    r.id = std::stoull(next_field());
+    r.size = static_cast<uint32_t>(std::stoul(next_field()));
+    r.op = OpFromString(next_field());
     reqs.push_back(r);
   }
   return Trace(std::move(reqs));

@@ -2,11 +2,12 @@
 // with other simulators.
 //
 // Writes produce the v2 columnar layout (see trace_format.h): a stats- and
-// fingerprint-carrying header followed by one array per request field —
-// including tenant and, for annotated traces, next_access, which the v1
-// record format dropped. All padding is zero-filled, so the same trace
-// always serializes to identical bytes. Reads accept v1 (legacy 24-byte AoS
-// records; tenant/next_access absent) and v2.
+// fingerprint-carrying header followed by one array per column — including,
+// for annotated traces, next_access, which the v1 record format dropped. The
+// time and tenant columns carry the request index and 0. All padding is
+// zero-filled, so the same trace always serializes to identical bytes. Reads
+// accept v1 (legacy 24-byte AoS records; next_access absent) and v2, and drop
+// the time and tenant columns.
 #ifndef SRC_TRACE_TRACE_IO_H_
 #define SRC_TRACE_TRACE_IO_H_
 
@@ -20,8 +21,8 @@ namespace s3fifo {
 void WriteBinaryTrace(const Trace& trace, const std::string& path);
 Trace ReadBinaryTrace(const std::string& path);
 
-// CSV columns: time,id,size,op  (op: get|set|delete). A header line is
-// written and tolerated on read.
+// CSV columns: time,id,size,op  (op: get|set|delete; time: written as the
+// request index, dropped on read). A header line is written and tolerated.
 void WriteCsvTrace(const Trace& trace, const std::string& path);
 Trace ReadCsvTrace(const std::string& path);
 

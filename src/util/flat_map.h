@@ -5,8 +5,9 @@
 // array holds one byte per slot — the low 7 bits of the slot key's hash as a
 // tag, or 0x80 for empty — probed 16 bytes at a time with one SIMD compare
 // (SSE2/NEON, scalar-on-uint64 SWAR fallback; see src/util/simd_probe.h).
-// A parallel slot array holds {key, slab index} pairs, and the values live
-// in a slab pool of fixed-size chunks with a LIFO free list.
+// A parallel slot array holds {key, slab index, low 32 hash bits} triples
+// (the hash fills what would be padding), and the values live in a slab pool
+// of fixed-size chunks with a LIFO free list.
 //
 // Probing is linear, group by group, from the key's home slot; deletion is
 // backward-shift (displaced successors are pulled into the hole), so probe
@@ -113,7 +114,7 @@ class FlatMap {
       if (empty != 0) {
         const size_t target = (pos + Ctz(empty)) & Mask();
         const uint32_t idx = AllocEntry();
-        slots_[target] = Slot{key, idx};
+        slots_[target] = Slot{key, idx, static_cast<uint32_t>(hash)};
         SetCtrl(target, tag);
         ++size_;
         if (inserted != nullptr) {
@@ -189,10 +190,14 @@ class FlatMap {
   // slot position wraps around the table without a second load.
   static constexpr size_t kCtrlPad = probe::kGroupWidth - 1;
 
+  // `hash` is the low half of Mix64(key), enough for any home position (a
+  // table has far fewer than 2^32 slots): deletion and rehash never rehash.
   struct Slot {
     uint64_t key = 0;
     uint32_t idx = 0;
+    uint32_t hash = 0;
   };
+  static_assert(sizeof(Slot) == 16, "the hash must fit the slot's padding");
 
   // A hit costs three dependent lines (ctrl -> slot -> value); issuing the
   // slot-line fetch before the ctrl load runs the first two in parallel,
@@ -284,7 +289,7 @@ class FlatMap {
   void ShiftBackFrom(size_t hole) {
     size_t cur = (hole + 1) & Mask();
     while (ctrl_[cur] != probe::kCtrlEmpty) {
-      const size_t ideal = Mix64(slots_[cur].key) & Mask();
+      const size_t ideal = slots_[cur].hash & Mask();
       if (((cur - ideal) & Mask()) >= ((cur - hole) & Mask())) {
         slots_[hole] = slots_[cur];
         SetCtrl(hole, ctrl_[cur]);
@@ -305,13 +310,12 @@ class FlatMap {
       if (old_ctrl[i] == probe::kCtrlEmpty) {
         continue;
       }
-      const uint64_t hash = Mix64(old_slots[i].key);
-      size_t pos = hash & Mask();
+      size_t pos = old_slots[i].hash & Mask();
       while (ctrl_[pos] != probe::kCtrlEmpty) {
         pos = (pos + 1) & Mask();
       }
       slots_[pos] = old_slots[i];
-      SetCtrl(pos, TagOf(hash));
+      SetCtrl(pos, old_ctrl[i]);
     }
   }
 

@@ -6,10 +6,7 @@ Trace GenerateSequentialScan(uint64_t num_objects) {
   std::vector<Request> reqs;
   reqs.reserve(num_objects);
   for (uint64_t i = 0; i < num_objects; ++i) {
-    Request r;
-    r.id = i;
-    r.time = i;
-    reqs.push_back(r);
+    reqs.push_back({.id = i});
   }
   return Trace(std::move(reqs), "sequential_scan");
 }
@@ -18,10 +15,7 @@ Trace GenerateLoop(uint64_t region, uint64_t num_requests) {
   std::vector<Request> reqs;
   reqs.reserve(num_requests);
   for (uint64_t i = 0; i < num_requests; ++i) {
-    Request r;
-    r.id = region == 0 ? 0 : i % region;
-    r.time = i;
-    reqs.push_back(r);
+    reqs.push_back({.id = region == 0 ? 0 : i % region});
   }
   return Trace(std::move(reqs), "loop");
 }
@@ -32,13 +26,7 @@ Trace GenerateTwoHitPattern(uint64_t num_objects, uint64_t reuse_distance) {
   // maintain a sliding window of D outstanding first-accesses.
   std::vector<Request> reqs;
   reqs.reserve(2 * num_objects);
-  uint64_t t = 0;
-  auto emit = [&](uint64_t id) {
-    Request r;
-    r.id = id;
-    r.time = t++;
-    reqs.push_back(r);
-  };
+  auto emit = [&](uint64_t id) { reqs.push_back({.id = id}); };
   for (uint64_t i = 0; i < num_objects; ++i) {
     emit(i);
     if (i >= reuse_distance) {

@@ -90,8 +90,6 @@ Trace GenerateZipfTrace(const ZipfWorkloadConfig& config) {
 
   while (reqs.size() < config.num_requests) {
     Request r;
-    r.time = reqs.size();
-
     if (!bursts.empty() && bursts.top().first <= reqs.size()) {
       r.id = bursts.top().second;
       bursts.pop();

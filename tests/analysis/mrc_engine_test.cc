@@ -320,6 +320,37 @@ TEST(MrcEngineTest, OnePassThrowsOnUnsupportedOrBadGrid) {
   EXPECT_THROW(OnePassMrc(view, "fifo", {16, 0, 64}, CountConfig()), std::invalid_argument);
 }
 
+// The multi-policy call shares one interning of the trace; every curve must
+// equal what a call for that policy alone returns, params and warmup
+// included, and an unsupported entry must fail the whole call.
+TEST(MrcEngineTest, MultiPolicyCallEqualsOneCallPerPolicy) {
+  const Trace trace = MixedZipf(31, 20000);
+  const TraceView view = TraceView::Borrow(trace);
+  const std::vector<uint64_t> sizes = {512, 16, 128, 16};
+  const std::vector<MrcPolicy> policies = {{"fifo", CountConfig()},
+                                           {"clock", CountConfig("bits=2")},
+                                           {"lru", CountConfig()},
+                                           {"s3fifo", CountConfig()},
+                                           {"s3fifo-d", CountConfig("adapt_min_hits=10")}};
+  const std::vector<MrcCurve> curves = OnePassMrc(view, policies, sizes, /*warmup_requests=*/500);
+  ASSERT_EQ(curves.size(), policies.size());
+  for (size_t p = 0; p < policies.size(); ++p) {
+    const MrcCurve alone = OnePassMrc(view, policies[p].policy, sizes, policies[p].config, 500);
+    EXPECT_EQ(curves[p].policy, policies[p].policy);
+    EXPECT_EQ(curves[p].sizes, sizes);
+    ASSERT_EQ(curves[p].results.size(), sizes.size());
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      EXPECT_EQ(curves[p].results[i].hits, alone.results[i].hits) << policies[p].policy;
+      EXPECT_EQ(curves[p].results[i].misses, alone.results[i].misses) << policies[p].policy;
+      EXPECT_EQ(curves[p].results[i].bytes_missed, alone.results[i].bytes_missed)
+          << policies[p].policy;
+    }
+  }
+  EXPECT_TRUE(OnePassMrc(view, std::vector<MrcPolicy>{}, sizes).empty());
+  EXPECT_THROW(OnePassMrc(view, {{"fifo", CountConfig()}, {"arc", CountConfig()}}, sizes),
+               std::invalid_argument);
+}
+
 TEST(MrcEngineTest, ParseMrcModeRoundTrip) {
   EXPECT_EQ(ParseMrcMode("onepass"), MrcMode::kAuto);
   EXPECT_EQ(ParseMrcMode("brute"), MrcMode::kBrute);

@@ -19,11 +19,8 @@ std::unique_ptr<Cache> Make(uint64_t cap, const std::string& params = "") {
 
 Trace Annotated(std::vector<uint64_t> ids) {
   std::vector<Request> reqs;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Request r;
-    r.id = ids[i];
-    r.time = i;
-    reqs.push_back(r);
+  for (uint64_t id : ids) {
+    reqs.push_back({.id = id});
   }
   Trace t(std::move(reqs));
   AnnotateNextAccess(t);

@@ -21,20 +21,14 @@ Trace AdversarialMix(uint64_t num_objects, uint64_t lag) {
   std::vector<Request> out;
   for (uint64_t w = 0; w < kWarmObjects; ++w) {
     for (int rep = 0; rep < 3; ++rep) {
-      Request r;
-      r.id = (1ULL << 51) + w;
-      r.time = out.size();
-      out.push_back(r);
+      out.push_back({.id = (1ULL << 51) + w});
     }
   }
   Trace twohit = GenerateTwoHitPattern(num_objects, lag);
   uint64_t hot = 0;
   for (size_t i = 0; i < twohit.size(); ++i) {
     out.push_back(twohit[i]);
-    Request r;
-    r.id = (1ULL << 50) + (hot++ % kHotSet);
-    r.time = out.size();
-    out.push_back(r);
+    out.push_back({.id = (1ULL << 50) + (hot++ % kHotSet)});
   }
   return Trace(std::move(out), "adversarial_mix");
 }

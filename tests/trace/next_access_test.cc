@@ -7,11 +7,8 @@ namespace {
 
 Trace MakeTrace(std::vector<uint64_t> ids) {
   std::vector<Request> reqs;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Request r;
-    r.id = ids[i];
-    r.time = i;
-    reqs.push_back(r);
+  for (uint64_t id : ids) {
+    reqs.push_back({.id = id});
   }
   return Trace(std::move(reqs));
 }

@@ -7,7 +7,9 @@
 #include <filesystem>
 #include <fstream>
 
+#include "src/trace/next_access.h"
 #include "src/trace/trace_format.h"
+#include "src/workload/zipf_workload.h"
 
 namespace s3fifo {
 namespace {
@@ -29,18 +31,16 @@ class TraceIoTest : public ::testing::Test {
       r.id = i * 31 % 17;
       r.size = static_cast<uint32_t>(64 + i);
       r.op = i % 5 == 0 ? OpType::kSet : (i % 11 == 0 ? OpType::kDelete : OpType::kGet);
-      r.time = i;
       reqs.push_back(r);
     }
     return Trace(std::move(reqs));
   }
 
-  // Exercises every Request field: multi-tenant and next-access annotated.
+  // Exercises every Request field: next-access annotated.
   static Trace AnnotatedTrace() {
     Trace t = SampleTrace();
     uint64_t i = 0;
     for (Request& r : t.mutable_requests()) {
-      r.tenant = static_cast<uint32_t>(i % 7);
       r.next_access = i % 3 == 0 ? kNeverAccessed : i + 1 + i % 13;
       ++i;
     }
@@ -61,14 +61,13 @@ TEST_F(TraceIoTest, BinaryRoundTrip) {
     EXPECT_EQ(loaded[i].id, original[i].id);
     EXPECT_EQ(loaded[i].size, original[i].size);
     EXPECT_EQ(loaded[i].op, original[i].op);
-    EXPECT_EQ(loaded[i].time, original[i].time);
   }
 }
 
-// Regression: the v1 writer dropped tenant and next_access entirely. The v2
-// columnar format must round-trip every Request field plus the trace name
-// and annotation flag.
-TEST_F(TraceIoTest, BinaryRoundTripPreservesTenantAndNextAccess) {
+// Regression: the v1 writer dropped next_access entirely. The v2 columnar
+// format must round-trip every Request field plus the trace name and
+// annotation flag.
+TEST_F(TraceIoTest, BinaryRoundTripPreservesNextAccess) {
   Trace original = AnnotatedTrace();
   WriteBinaryTrace(original, Path("a.bin"));
   Trace loaded = ReadBinaryTrace(Path("a.bin"));
@@ -79,8 +78,6 @@ TEST_F(TraceIoTest, BinaryRoundTripPreservesTenantAndNextAccess) {
     EXPECT_EQ(loaded[i].id, original[i].id);
     EXPECT_EQ(loaded[i].size, original[i].size);
     EXPECT_EQ(loaded[i].op, original[i].op);
-    EXPECT_EQ(loaded[i].time, original[i].time);
-    EXPECT_EQ(loaded[i].tenant, original[i].tenant);
     EXPECT_EQ(loaded[i].next_access, original[i].next_access);
   }
   EXPECT_EQ(loaded.Fingerprint(), original.Fingerprint());
@@ -132,14 +129,15 @@ TEST_F(TraceIoTest, ReadsLegacyV1Format) {
   out.write(reinterpret_cast<const char*>(&version), sizeof(version));
   const uint64_t n = original.size();
   out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const Request& r : original.requests()) {
+  for (uint64_t time = 0; time < n; ++time) {
+    const Request& r = original[time];
     const uint8_t op = static_cast<uint8_t>(r.op);
     const uint8_t pad[3] = {0, 0, 0};
     out.write(reinterpret_cast<const char*>(&r.id), 8);
     out.write(reinterpret_cast<const char*>(&r.size), 4);
     out.write(reinterpret_cast<const char*>(&op), 1);
     out.write(reinterpret_cast<const char*>(pad), 3);
-    out.write(reinterpret_cast<const char*>(&r.time), 8);
+    out.write(reinterpret_cast<const char*>(&time), 8);
   }
   out.close();
 
@@ -149,8 +147,47 @@ TEST_F(TraceIoTest, ReadsLegacyV1Format) {
     EXPECT_EQ(loaded[i].id, original[i].id);
     EXPECT_EQ(loaded[i].size, original[i].size);
     EXPECT_EQ(loaded[i].op, original[i].op);
-    EXPECT_EQ(loaded[i].time, original[i].time);
   }
+}
+
+// The on-disk bytes of generated traces are pinned: the digests below were
+// recorded from files written when Request still carried time and tenant
+// fields (the time column held the request index, the tenant column 0), so
+// both writers must keep emitting exactly those columns.
+TEST_F(TraceIoTest, GeneratedTraceWritesParentBytes) {
+  ZipfWorkloadConfig config;
+  config.num_objects = 500;
+  config.num_requests = 3000;
+  config.scan_fraction = 0.05;
+  config.scan_length = 40;
+  config.write_fraction = 0.1;
+  config.delete_fraction = 0.05;
+  config.size_sigma = 1.0;
+  config.seed = 3;
+  Trace plain = GenerateZipfTrace(config);
+  plain.set_name("zipf/plain");
+  Trace annotated = plain;
+  AnnotateNextAccess(annotated);
+  annotated.set_name("zipf/annotated");
+
+  // FNV-1a over the file's bytes.
+  const auto digest = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+      h = (h ^ static_cast<uint8_t>(*it)) * 0x100000001b3ULL;
+    }
+    return h;
+  };
+  WriteBinaryTrace(plain, Path("plain.bin"));
+  WriteBinaryTrace(annotated, Path("annotated.bin"));
+  WriteCsvTrace(plain, Path("plain.csv"));
+  WriteCsvTrace(annotated, Path("annotated.csv"));
+  EXPECT_EQ(digest(Path("plain.bin")), 0xf89011daa539ad37ULL);
+  EXPECT_EQ(digest(Path("annotated.bin")), 0x2206bb8935f9dbeaULL);
+  // CSV carries neither the name nor next_access, so both CSV files match.
+  EXPECT_EQ(digest(Path("plain.csv")), 0x66caeb74c3d98d62ULL);
+  EXPECT_EQ(digest(Path("annotated.csv")), 0x66caeb74c3d98d62ULL);
 }
 
 TEST_F(TraceIoTest, UnsupportedVersionThrows) {

@@ -19,7 +19,6 @@ Trace MakeTrace() {
   t.set_name("view-test");
   uint64_t i = 0;
   for (Request& r : t.mutable_requests()) {
-    r.tenant = static_cast<uint32_t>(i % 5);
     r.next_access = i % 4 == 0 ? kNeverAccessed : i + 2;
     ++i;
   }
@@ -49,8 +48,6 @@ TEST(TraceViewTest, BorrowedHeapViewMatchesTrace) {
     EXPECT_EQ(reqs[i].id, trace[i].id) << i;
     EXPECT_EQ(reqs[i].size, trace[i].size) << i;
     EXPECT_EQ(reqs[i].op, trace[i].op) << i;
-    EXPECT_EQ(reqs[i].tenant, trace[i].tenant) << i;
-    EXPECT_EQ(reqs[i].time, trace[i].time) << i;
     EXPECT_EQ(reqs[i].next_access, trace[i].next_access) << i;
   }
 }
