@@ -39,9 +39,9 @@ DemotionMetrics MeasureDemotion(const Trace& trace, Cache& cache, double lru_evi
     throw std::invalid_argument("MeasureDemotion requires AnnotateNextAccess(trace)");
   }
 
-  // next_reuse_of[id]: the next-access index carried by the most recent
-  // request to id, maintained while replaying so it is current whenever the
-  // demotion listener fires.
+  // next_reuse_of[id]: the next-access index of the most recent request to
+  // id, maintained while replaying so it is current whenever the demotion
+  // listener fires.
   std::unordered_map<uint64_t, uint64_t> next_reuse_of;
   next_reuse_of.reserve(trace.size() / 4 + 16);
 
@@ -66,11 +66,12 @@ DemotionMetrics MeasureDemotion(const Trace& trace, Cache& cache, double lru_evi
     throw std::invalid_argument("policy '" + cache.Name() + "' has no demotion events");
   }
 
+  const std::vector<uint64_t>& next_access = trace.next_access();
   uint64_t hits = 0;
   uint64_t measured = 0;
   for (size_t i = 0; i < trace.size(); ++i) {
     const Request& req = trace[i];
-    next_reuse_of[req.id] = req.next_access;
+    next_reuse_of[req.id] = next_access[i];
     const bool hit = cache.Get(req);
     if (req.op != OpType::kDelete) {
       ++measured;

@@ -70,7 +70,11 @@ class Cache {
   // request i + kPrefetchDistance prefetched while request i is handled;
   // the hot policies (fifo/lru/clock/sieve/s3fifo) override AccessBatch to
   // run the same pipeline devirtualized, with the policy's Access inlined
-  // into the block loop. `hits` must hold end - begin bytes.
+  // into the block loop. `hits` must hold end - begin bytes. One exception:
+  // a policy that RequiresNextAccess() (Belady) reads each request's next
+  // access from the view's next-access column, which a bare Request does not
+  // carry, so its scalar Get() treats every request as never reused; the two
+  // agree on a view of a trace that is not annotated.
   void GetBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits);
 
   // Best-effort hint that `id` will be requested shortly. The prefetch-
@@ -85,8 +89,8 @@ class Cache {
   virtual void Remove(uint64_t id) = 0;
   virtual std::string Name() const = 0;
 
-  // Policies needing Request::next_access (Belady) override this; the
-  // simulator checks it against Trace::annotated().
+  // Policies needing the trace's next-access column (Belady) override this;
+  // the simulator checks it against Trace::annotated().
   virtual bool RequiresNextAccess() const { return false; }
 
   uint64_t capacity() const { return capacity_; }

@@ -80,7 +80,9 @@ bool LogStructuredFlashCache::Get(const Request& req) {
     }
     return true;
   }
-  const bool in_log = log_.Contains(req.id);
+  // A get's one probe of the log also marks the hit (RIPQ virtual promotion
+  // / FIFO readmit bit); a set overwrites the copy instead.
+  const bool in_log = req.op == OpType::kSet ? log_.Contains(req.id) : log_.Lookup(req.id);
   if (in_log || sets_.Contains(req.id)) {
     if (in_log) {
       ++stats_.log_hits;
@@ -95,8 +97,6 @@ bool LogStructuredFlashCache::Get(const Request& req) {
         sets_.Erase(req.id);
       }
       WriteFlash(req.id, req.size);
-    } else if (in_log) {
-      log_.Lookup(req.id);  // RIPQ virtual promotion / FIFO readmit bit
     }
     return true;
   }

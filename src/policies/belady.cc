@@ -39,7 +39,25 @@ void BeladyCache::EvictFarthest() {
   RemoveById(std::prev(order_.end())->second, /*explicit_delete=*/false);
 }
 
-bool BeladyCache::Access(const Request& req) {
+bool BeladyCache::Access(const Request& req) { return AccessAt(req, kNeverAccessed); }
+
+void BeladyCache::AccessBatch(const TraceView& view, uint64_t begin, uint64_t end,
+                              uint8_t* hits) {
+  const Request* reqs = view.AsRequests();
+  const uint64_t* next = view.NextAccess();
+  for (uint64_t i = begin; i < end; ++i) {
+    TickClock();
+    const Request& req = reqs[i];
+    if (req.op == OpType::kDelete) {
+      Remove(req.id);
+      hits[i - begin] = 0;
+      continue;
+    }
+    hits[i - begin] = AccessAt(req, next == nullptr ? kNeverAccessed : next[i]) ? 1 : 0;
+  }
+}
+
+bool BeladyCache::AccessAt(const Request& req, uint64_t next_access) {
   const uint64_t need = SizeOf(req);
   auto it = table_.find(req.id);
   if (it != table_.end()) {
@@ -47,7 +65,7 @@ bool BeladyCache::Access(const Request& req) {
     order_.erase({e.next_access, req.id});
     ++e.hits;
     e.last_access_time = clock();
-    e.next_access = req.next_access;
+    e.next_access = next_access;
     if (!count_based() && e.size != need) {
       SubOccupied(e.size);
       e.size = need;
@@ -66,7 +84,7 @@ bool BeladyCache::Access(const Request& req) {
   // not be admitted (it cannot produce a hit). Off by default — classic OPT
   // admits on every miss, which is what the frequency-at-eviction analysis
   // of Fig. 4 assumes.
-  if (bypass_never_ && req.next_access == kNeverAccessed) {
+  if (bypass_never_ && next_access == kNeverAccessed) {
     return false;
   }
   while (occupied() + need > capacity()) {
@@ -76,7 +94,7 @@ bool BeladyCache::Access(const Request& req) {
   e.size = need;
   e.insert_time = clock();
   e.last_access_time = clock();
-  e.next_access = req.next_access;
+  e.next_access = next_access;
   table_.emplace(req.id, e);
   order_.insert({e.next_access, req.id});
   AddOccupied(need);

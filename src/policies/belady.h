@@ -1,7 +1,9 @@
 // Belady / OPT / MIN: the offline-optimal policy that evicts the resident
 // object whose next request is farthest in the future. Requires the trace to
 // be annotated with next-access indices (AnnotateNextAccess); the simulator
-// enforces this via RequiresNextAccess().
+// enforces this via RequiresNextAccess(). GetBatch reads each request's next
+// access from the view's next-access column; a scalar Get has none to read
+// and treats its request as never reused.
 //
 // Used by the paper for the frequency-at-eviction analysis (Fig. 4) and as
 // the efficiency upper bound in tests.
@@ -36,6 +38,9 @@ class BeladyCache : public Cache {
   using VictimKey = std::pair<uint64_t, uint64_t>;
 
   bool Access(const Request& req) override;
+  void AccessBatch(const TraceView& view, uint64_t begin, uint64_t end, uint8_t* hits) override;
+  // The access path, given the index of the next request to req.id.
+  bool AccessAt(const Request& req, uint64_t next_access);
   void EvictFarthest();
   void RemoveById(uint64_t id, bool explicit_delete);
 

@@ -99,6 +99,9 @@ bool Transport::Poll(int timeout_ms) {
     if ((ev.events & (EPOLLIN | EPOLLRDHUP)) != 0) {
       c->read_ready = true;
     }
+    if ((ev.events & EPOLLRDHUP) != 0) {
+      c->rdhup = true;
+    }
     if (c->read_ready) {
       ReadReady(c);
     }
@@ -208,10 +211,13 @@ void Transport::Serve(Conn* c) {
   }
 }
 
-// Reads until EAGAIN, serving the handler after every read. While the
-// handler is blocked at the watermark it consumes nothing, so reads only
-// fill `in`; once `in` is full (or at EOF), reading pauses with read_ready
-// still set, and the Poll after the drain resumes it.
+// Reads until the socket is empty, serving the handler after every read.
+// The socket is empty after a read shorter than the space it offered (a
+// stream read takes all that is queued), unless the peer has shut its write
+// side: then reading goes on to the EOF, which may follow the data without
+// a new edge. While the handler is blocked at the watermark it consumes
+// nothing, so reads only fill `in`; once `in` is full (or at EOF), reading
+// pauses with read_ready still set, and the Poll after the drain resumes it.
 void Transport::ReadReady(Conn* c) {
   while (!c->closing) {
     if (!c->in.EnsureWritable(kMinReadSpace)) {
@@ -222,12 +228,17 @@ void Transport::ReadReady(Conn* c) {
       }
       return;
     }
-    const ssize_t n = read(c->fd, c->in.WritePtr(), c->in.WriteCapacity());
+    const size_t space = c->in.WriteCapacity();
+    const ssize_t n = read(c->fd, c->in.WritePtr(), space);
     counters_.syscalls++;
     if (n > 0) {
       c->in.CommitWrite(static_cast<size_t>(n));
       counters_.bytes_read += static_cast<uint64_t>(n);
       Serve(c);
+      if (static_cast<size_t>(n) < space && !c->rdhup) {
+        c->read_ready = false;  // short read: the socket is empty
+        return;
+      }
       continue;
     }
     if (n == 0) {

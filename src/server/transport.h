@@ -4,10 +4,14 @@
 //
 // The transport owns each connection's buffers: `in` (bytes read, not yet
 // consumed by the handler) and `out` (bytes the handler rendered, not yet
-// accepted by the kernel). On an EPOLLIN edge it reads into `in` until
-// EAGAIN or until `in` is full; after each read it calls the handler's
-// OnInput once, which parses what is buffered and appends replies to `out`,
-// and then sends `out` eagerly, falling back to the EPOLLOUT edge on EAGAIN.
+// accepted by the kernel). On an EPOLLIN edge it reads into `in` until a
+// read returns less than the space it offered, until EAGAIN, or until `in`
+// is full; after each read it calls the handler's OnInput once, which
+// parses what is buffered and appends replies to `out`, and then sends
+// `out` eagerly, falling back to the EPOLLOUT edge on EAGAIN. A stream read
+// drains the socket's receive queue, so a short read means the socket is
+// empty and the next arrival raises a new edge; only once the peer has shut
+// its write side (EPOLLRDHUP) does it read on, to see the EOF.
 //
 // Backpressure lives here too. The handler stops consuming input while
 // OutFull() holds; the transport keeps reading until `in` is full and then
@@ -64,7 +68,8 @@ class Transport {
     friend class Transport;
     int fd = -1;
     size_t out_off = 0;       // out[0, out_off) already sent
-    bool read_ready = false;  // an EPOLLIN edge not yet read to EAGAIN
+    bool read_ready = false;  // an EPOLLIN edge not yet read to empty
+    bool rdhup = false;       // the peer shut its write side: read to EOF
     bool blocked = false;     // OnInput stopped at the watermark
     bool closing = false;     // close once `out` drains; no more input
     bool dead = false;        // fd closed; freed at the end of the dispatch

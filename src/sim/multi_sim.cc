@@ -11,7 +11,7 @@ namespace {
 // request interleaving would touch every cache's working set on every
 // request and thrash the CPU cache once the tables outgrow L2), while the
 // trace block itself — the shared input — stays resident across all caches:
-// 65,536 24-byte requests are 1.5 MiB, inside one core's 2 MiB L2. Each
+// 65,536 16-byte requests are 1 MiB, inside one core's 2 MiB L2. Each
 // cache still sees the full request sequence in order, so results are
 // unchanged.
 constexpr uint64_t kBlockRequests = 65536;

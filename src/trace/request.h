@@ -13,20 +13,19 @@ enum class OpType : uint8_t {
   kDelete = 2,  // explicit invalidation
 };
 
-// Sentinel for "this object is never requested again".
+// Sentinel for "this object is never requested again" in a trace's
+// next-access column (Trace::next_access()).
 inline constexpr uint64_t kNeverAccessed = std::numeric_limits<uint64_t>::max();
 
 struct Request {
   uint64_t id = 0;
   uint32_t size = 1;  // bytes; 1 in count-based (slab) simulations
   OpType op = OpType::kGet;
-  // Index of the next request to the same id, filled by AnnotateNextAccess();
-  // kNeverAccessed when unknown or absent. Consumed by Belady and by the
-  // demotion-precision analysis.
-  uint64_t next_access = kNeverAccessed;
 };
 // Every resident trace holds one per request; its index is its logical time.
-static_assert(sizeof(Request) == 24, "Request must stay 24 bytes");
+// The next access to the same id is not a field: only annotated traces carry
+// it, as a column beside the request array (Trace::next_access()).
+static_assert(sizeof(Request) == 16, "Request must stay 16 bytes");
 
 }  // namespace s3fifo
 

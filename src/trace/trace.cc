@@ -1,5 +1,7 @@
 #include "src/trace/trace.h"
 
+#include <stdexcept>
+
 #include "src/util/flat_map.h"
 #include "src/util/hash.h"
 
@@ -8,10 +10,19 @@ namespace s3fifo {
 Trace::Trace(std::vector<Request> requests, std::string name)
     : requests_(std::move(requests)), name_(std::move(name)) {}
 
+void Trace::set_next_access(std::vector<uint64_t> next_access) {
+  if (next_access.size() != requests_.size()) {
+    throw std::invalid_argument("next-access column must hold one entry per request");
+  }
+  next_access_ = std::move(next_access);
+  annotated_ = true;
+}
+
 void Trace::Append(const Request& req) {
   requests_.push_back(req);
   stats_valid_ = false;
   annotated_ = false;
+  next_access_.clear();
 }
 
 uint64_t Trace::Fingerprint() const {

@@ -28,19 +28,27 @@ class Trace {
   explicit Trace(std::vector<Request> requests, std::string name = "");
 
   const std::vector<Request>& requests() const { return requests_; }
-  std::vector<Request>& mutable_requests() { return requests_; }
   size_t size() const { return requests_.size(); }
   bool empty() const { return requests_.empty(); }
   const Request& operator[](size_t i) const { return requests_[i]; }
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
+  // The next-access column: entry i is the index of the next request to
+  // requests()[i].id, or kNeverAccessed. Only an annotated trace carries it
+  // (AnnotateNextAccess, or a v2 file written from an annotated trace);
+  // otherwise it is empty. Belady and the demotion analysis read it.
   bool annotated() const { return annotated_; }
-  void set_annotated(bool annotated) { annotated_ = annotated; }
+  const std::vector<uint64_t>& next_access() const { return next_access_; }
+  // Installs the column; throws std::invalid_argument unless it holds one
+  // entry per request.
+  void set_next_access(std::vector<uint64_t> next_access);
 
   // Computes (and caches) full-trace statistics. O(n) on first call.
   const TraceStats& Stats() const;
 
+  // Appends one request and drops the next-access column, which it makes
+  // stale.
   void Append(const Request& req);
 
   // Order-sensitive 64-bit digest over (id, size, op) of every request.
@@ -52,7 +60,8 @@ class Trace {
  private:
   std::vector<Request> requests_;
   std::string name_;
-  bool annotated_ = false;
+  bool annotated_ = false;  // next_access_ is the column (empty trace included)
+  std::vector<uint64_t> next_access_;
   mutable bool stats_valid_ = false;
   mutable TraceStats stats_;
 };

@@ -16,8 +16,11 @@
 //   op        u8  × n        (zero-padded to 8)
 //
 // The time and tenant columns are written for compatibility with earlier
-// files and ignored on read: a Request holds neither. v1 (AoS 24-byte
-// records, no tenant/next_access) remains readable through ReadBinaryTrace.
+// files and ignored on read: a Request holds neither. The next_access column
+// is the annotated trace's own column (Trace::next_access()), read and
+// written as it stands; the id, size and op columns fill the 16-byte Request
+// array. v1 (AoS 24-byte records, no tenant/next_access) remains readable
+// through ReadBinaryTrace.
 #ifndef SRC_TRACE_TRACE_FORMAT_H_
 #define SRC_TRACE_TRACE_FORMAT_H_
 

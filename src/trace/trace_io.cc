@@ -1,7 +1,9 @@
 #include "src/trace/trace_io.h"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -123,9 +125,13 @@ Trace ReadBinaryTraceV2(std::ifstream& in, const std::string& path, uint64_t fil
   std::vector<uint32_t> u32s;
   std::vector<uint8_t> u8s;
   read_column(layout.id_offset, &u64s, [](Request& r, uint64_t v) { r.id = v; });
+  std::vector<uint64_t> next_access;
   if (annotated) {
-    read_column(layout.next_access_offset, &u64s,
-                [](Request& r, uint64_t v) { r.next_access = v; });
+    // The next-access column is kept as it is on disk, beside the requests.
+    next_access.resize(n);
+    in.seekg(static_cast<std::streamoff>(layout.next_access_offset));
+    in.read(reinterpret_cast<char*>(next_access.data()),
+            static_cast<std::streamsize>(sizeof(uint64_t) * n));
   }
   read_column(layout.size_offset, &u32s, [](Request& r, uint32_t v) { r.size = v; });
   read_column(layout.op_offset, &u8s, [](Request& r, uint8_t v) { r.op = static_cast<OpType>(v); });
@@ -138,7 +144,9 @@ Trace ReadBinaryTraceV2(std::ifstream& in, const std::string& path, uint64_t fil
     }
   }
   Trace trace(std::move(reqs), std::move(name));
-  trace.set_annotated(annotated);
+  if (annotated) {
+    trace.set_next_access(std::move(next_access));
+  }
   return trace;
 }
 
@@ -182,7 +190,7 @@ void WriteBinaryTrace(const Trace& trace, const std::string& path) {
   write_column([&](uint64_t i) { return reqs[i].id; });
   write_column([](uint64_t i) { return i; });  // time: the request index
   if (trace.annotated()) {
-    write_column([&](uint64_t i) { return reqs[i].next_access; });
+    write_column([&](uint64_t i) { return trace.next_access()[i]; });
   }
   write_column([&](uint64_t i) { return reqs[i].size; });
   write_column([](uint64_t) { return uint32_t{0}; });  // tenant
@@ -241,8 +249,10 @@ Trace ReadCsvTrace(const std::string& path) {
   }
   std::vector<Request> reqs;
   std::string line;
+  uint64_t line_number = 0;
   bool first = true;
   while (std::getline(in, line)) {
+    ++line_number;
     if (line.empty()) {
       continue;
     }
@@ -251,18 +261,33 @@ Trace ReadCsvTrace(const std::string& path) {
       continue;  // header
     }
     first = false;
+    const auto malformed = [&] {
+      Fail("malformed CSV line " + std::to_string(line_number) + " (" + line + ")", path);
+    };
     std::istringstream ls(line);
     const auto next_field = [&] {
       std::string field;
       if (!std::getline(ls, field, ',')) {
-        Fail("malformed CSV line: " + line, path);
+        malformed();
       }
       return field;
     };
-    static_cast<void>(std::stoull(next_field()));  // the time column is checked, then dropped
+    // An unsigned decimal field no larger than `max`.
+    const auto next_number = [&](uint64_t max) {
+      const std::string field = next_field();
+      const char* end = field.data() + field.size();
+      uint64_t v = 0;
+      const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+      if (ec != std::errc() || ptr != end || v > max) {
+        malformed();
+      }
+      return v;
+    };
+    constexpr uint64_t kAny = std::numeric_limits<uint64_t>::max();
+    next_number(kAny);  // the time column is checked, then dropped
     Request r;
-    r.id = std::stoull(next_field());
-    r.size = static_cast<uint32_t>(std::stoul(next_field()));
+    r.id = next_number(kAny);
+    r.size = static_cast<uint32_t>(next_number(std::numeric_limits<uint32_t>::max()));
     r.op = OpFromString(next_field());
     reqs.push_back(r);
   }

@@ -3,7 +3,8 @@
 // The simulator layers take a TraceView instead of a Trace so that one
 // trace can be shared by many concurrent consumers; the caller keeps the
 // trace alive for as long as any copy of the view. The hot loops read the
-// contiguous Request array through AsRequests().
+// contiguous Request array through AsRequests(), and Belady reads the
+// next-access column of an annotated trace through NextAccess().
 #ifndef SRC_TRACE_TRACE_VIEW_H_
 #define SRC_TRACE_TRACE_VIEW_H_
 
@@ -34,6 +35,12 @@ class TraceView {
   // The trace's contiguous request array (size() entries).
   const Request* AsRequests() const {
     return trace_ == nullptr ? nullptr : trace_->requests().data();
+  }
+
+  // The trace's next-access column (size() entries; Trace::next_access()),
+  // or nullptr when the trace is not annotated.
+  const uint64_t* NextAccess() const {
+    return annotated() ? trace_->next_access().data() : nullptr;
   }
 
  private:

@@ -127,8 +127,16 @@ class FlatMap {
   }
 
   bool Erase(uint64_t key) {
+    return EraseIf(key, [](const V&) { return true; });
+  }
+
+  // Erases `key` only if it is present and pred(value) holds, in the one
+  // probe that Find followed by Erase would make twice. Returns whether it
+  // erased.
+  template <typename Pred>
+  bool EraseIf(uint64_t key, Pred&& pred) {
     const size_t pos = FindSlot(key);
-    if (pos == kNotFound) {
+    if (pos == kNotFound || !pred(*EntryAt(slots_[pos].idx))) {
       return false;
     }
     FreeEntry(slots_[pos].idx);

@@ -44,9 +44,8 @@ void GhostQueue::EvictOldest() {
   while (!fifo_.empty()) {
     const auto [seq, id] = fifo_.front();
     fifo_.pop_front();
-    if (Live(id, seq)) {
-      seq_of_.Erase(id);
-      return;
+    if (seq_of_.EraseIf(id, [seq](uint64_t live) { return live == seq; })) {
+      return;  // the slot was live
     }
   }
 }

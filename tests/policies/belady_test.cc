@@ -2,6 +2,9 @@
 // online policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/core/cache_factory.h"
 #include "src/sim/simulator.h"
 #include "src/trace/next_access.h"
@@ -51,6 +54,29 @@ TEST(BeladyTest, ClassicBeladyExample) {
   auto c = Make(3);
   const SimResult r = Simulate(t, *c);
   EXPECT_EQ(r.misses, 6u);
+}
+
+// The batched path reads each request's next access from the view's column.
+TEST(BeladyTest, GetBatchOverAnnotatedViewMatchesClassicExample) {
+  Trace t = Annotated({2, 3, 2, 1, 5, 2, 4, 5, 3, 2, 5, 2});
+  auto c = Make(3);
+  std::vector<uint8_t> hits(t.size());
+  c->GetBatch(TraceView::Borrow(t), 0, t.size(), hits.data());
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 0), 6);
+}
+
+// A bare Request carries no next access, so a scalar Get treats it as never
+// reused: it agrees with GetBatch over a view that is not annotated.
+TEST(BeladyTest, ScalarGetMatchesGetBatchOverUnannotatedView) {
+  const Trace raw({{.id = 2}, {.id = 3}, {.id = 2}, {.id = 1}, {.id = 5}, {.id = 2},
+                   {.id = 4}, {.id = 5}, {.id = 3}, {.id = 2}, {.id = 5}, {.id = 2}});
+  auto scalar = Make(3);
+  auto batched = Make(3);
+  std::vector<uint8_t> hits(raw.size());
+  batched->GetBatch(TraceView::Borrow(raw), 0, raw.size(), hits.data());
+  for (size_t i = 0; i < raw.size(); ++i) {
+    EXPECT_EQ(scalar->Get(raw[i]), hits[i] != 0) << i;
+  }
 }
 
 TEST(BeladyTest, BypassNeverParamSkipsDeadObjects) {

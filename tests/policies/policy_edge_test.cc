@@ -150,15 +150,9 @@ TEST(BeladyEdgeTest, TieOnNeverAccessedPrefersEviction) {
   CacheConfig config;
   config.capacity = 2;
   auto c = CreateCache("belady", config);
-  Request a = Get(1);
-  a.next_access = kNeverAccessed;
-  Request b = Get(2);
-  b.next_access = kNeverAccessed;
-  Request u = Get(3);
-  u.next_access = 10;
-  c->Get(a);
-  c->Get(b);
-  c->Get(u);
+  Trace t({Get(1), Get(2), Get(3)});
+  t.set_next_access({kNeverAccessed, kNeverAccessed, 10});
+  Simulate(t, *c);
   EXPECT_TRUE(c->Contains(3));
 }
 

@@ -121,7 +121,6 @@ TEST_P(PolicyPropertyTest, DeleteRemovesResidency) {
   auto cache = Make(16);
   Request get;
   get.id = 99;
-  get.next_access = 3;
   cache->Get(get);
   if (cache->Contains(99)) {  // admission policies may not cache first touch
     Request del;
@@ -145,7 +144,6 @@ TEST_P(PolicyPropertyTest, RepeatedRequestEventuallyHits) {
   auto cache = Make(32);
   Request r;
   r.id = 7;
-  r.next_access = 1;  // keep Belady interested
   bool hit = false;
   for (int i = 0; i < 4 && !hit; ++i) {
     hit = cache->Get(r);
@@ -177,7 +175,6 @@ TEST_P(PolicyPropertyTest, TinyCapacityByteModeWithHugeObjects) {
   Request r;
   r.id = 1;
   r.size = 5000;
-  r.next_access = 2;
   EXPECT_FALSE(cache->Get(r));
   EXPECT_FALSE(cache->Get(r));  // still a miss: never admitted
   EXPECT_EQ(cache->occupied(), 0u);

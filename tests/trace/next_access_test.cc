@@ -17,25 +17,21 @@ TEST(NextAccessTest, LinksSequentialReuses) {
   Trace t = MakeTrace({1, 2, 1, 2, 1});
   AnnotateNextAccess(t);
   EXPECT_TRUE(t.annotated());
-  EXPECT_EQ(t[0].next_access, 2u);
-  EXPECT_EQ(t[1].next_access, 3u);
-  EXPECT_EQ(t[2].next_access, 4u);
-  EXPECT_EQ(t[3].next_access, kNeverAccessed);
-  EXPECT_EQ(t[4].next_access, kNeverAccessed);
+  EXPECT_EQ(t.next_access(),
+            (std::vector<uint64_t>{2, 3, 4, kNeverAccessed, kNeverAccessed}));
 }
 
 TEST(NextAccessTest, OneHitWondersNeverAccessed) {
   Trace t = MakeTrace({1, 2, 3});
   AnnotateNextAccess(t);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(t[i].next_access, kNeverAccessed);
-  }
+  EXPECT_EQ(t.next_access(), std::vector<uint64_t>(3, kNeverAccessed));
 }
 
 TEST(NextAccessTest, EmptyTrace) {
   Trace t;
   AnnotateNextAccess(t);
   EXPECT_TRUE(t.annotated());
+  EXPECT_TRUE(t.next_access().empty());
 }
 
 TEST(NextAccessTest, ChainIsConsistent) {
@@ -48,8 +44,8 @@ TEST(NextAccessTest, ChainIsConsistent) {
   while (i != kNeverAccessed) {
     chain.push_back(i);
     ASSERT_EQ(t[i].id, 5u);
-    i = t[i].next_access == kNeverAccessed ? kNeverAccessed
-                                           : static_cast<size_t>(t[i].next_access);
+    i = t.next_access()[i] == kNeverAccessed ? kNeverAccessed
+                                             : static_cast<size_t>(t.next_access()[i]);
   }
   EXPECT_EQ(chain, (std::vector<size_t>{0, 2, 4, 6}));
 }

@@ -36,15 +36,14 @@ class TraceIoTest : public ::testing::Test {
     return Trace(std::move(reqs));
   }
 
-  // Exercises every Request field: next-access annotated.
+  // Exercises every column: a next-access column beside the requests.
   static Trace AnnotatedTrace() {
     Trace t = SampleTrace();
-    uint64_t i = 0;
-    for (Request& r : t.mutable_requests()) {
-      r.next_access = i % 3 == 0 ? kNeverAccessed : i + 1 + i % 13;
-      ++i;
+    std::vector<uint64_t> next_access(t.size());
+    for (uint64_t i = 0; i < next_access.size(); ++i) {
+      next_access[i] = i % 3 == 0 ? kNeverAccessed : i + 1 + i % 13;
     }
-    t.set_annotated(true);
+    t.set_next_access(std::move(next_access));
     t.set_name("annotated/sample");
     return t;
   }
@@ -65,8 +64,8 @@ TEST_F(TraceIoTest, BinaryRoundTrip) {
 }
 
 // Regression: the v1 writer dropped next_access entirely. The v2 columnar
-// format must round-trip every Request field plus the trace name and
-// annotation flag.
+// format must round-trip every Request field plus the trace name and the
+// next-access column.
 TEST_F(TraceIoTest, BinaryRoundTripPreservesNextAccess) {
   Trace original = AnnotatedTrace();
   WriteBinaryTrace(original, Path("a.bin"));
@@ -78,8 +77,8 @@ TEST_F(TraceIoTest, BinaryRoundTripPreservesNextAccess) {
     EXPECT_EQ(loaded[i].id, original[i].id);
     EXPECT_EQ(loaded[i].size, original[i].size);
     EXPECT_EQ(loaded[i].op, original[i].op);
-    EXPECT_EQ(loaded[i].next_access, original[i].next_access);
   }
+  EXPECT_EQ(loaded.next_access(), original.next_access());
   EXPECT_EQ(loaded.Fingerprint(), original.Fingerprint());
 }
 
@@ -267,6 +266,37 @@ TEST_F(TraceIoTest, CsvMalformedLineThrows) {
   out << "time,id,size,op\n1,2\n";
   out.close();
   EXPECT_THROW(ReadCsvTrace(Path("bad.csv")), std::runtime_error);
+}
+
+// A malformed number is a format error naming the path and the line, not a
+// bare std::invalid_argument from the number parser.
+TEST_F(TraceIoTest, CsvMalformedNumberThrowsWithPathAndLine) {
+  std::ofstream out(Path("badnum.csv"));
+  out << "time,id,size,op\n0,1,2,get\nabc,1,2,get\n";
+  out.close();
+  try {
+    ReadCsvTrace(Path("badnum.csv"));
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(Path("badnum.csv")), std::string::npos) << what;
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+  }
+}
+
+// A size beyond the 32-bit size field is rejected, not narrowed.
+TEST_F(TraceIoTest, CsvSizeAboveUint32MaxThrows) {
+  std::ofstream out(Path("bigsize.csv"));
+  out << "1,2,99999999999,get\n";
+  out.close();
+  EXPECT_THROW(ReadCsvTrace(Path("bigsize.csv")), std::runtime_error);
+
+  std::ofstream edge(Path("maxsize.csv"));
+  edge << "1,2,4294967295,get\n";
+  edge.close();
+  const Trace t = ReadCsvTrace(Path("maxsize.csv"));
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t[0].size, 4294967295u);
 }
 
 TEST_F(TraceIoTest, CsvUnknownOpThrows) {

@@ -17,12 +17,11 @@ Trace MakeTrace() {
   cfg.seed = 13;
   Trace t = GenerateZipfTrace(cfg);
   t.set_name("view-test");
-  uint64_t i = 0;
-  for (Request& r : t.mutable_requests()) {
-    r.next_access = i % 4 == 0 ? kNeverAccessed : i + 2;
-    ++i;
+  std::vector<uint64_t> next_access(t.size());
+  for (uint64_t i = 0; i < next_access.size(); ++i) {
+    next_access[i] = i % 4 == 0 ? kNeverAccessed : i + 2;
   }
-  t.set_annotated(true);
+  t.set_next_access(std::move(next_access));
   return t;
 }
 
@@ -32,6 +31,7 @@ TEST(TraceViewTest, DefaultViewIsEmpty) {
   EXPECT_EQ(view.size(), 0u);
   EXPECT_FALSE(view.annotated());
   EXPECT_EQ(view.AsRequests(), nullptr);
+  EXPECT_EQ(view.NextAccess(), nullptr);
 }
 
 TEST(TraceViewTest, BorrowedHeapViewMatchesTrace) {
@@ -40,16 +40,25 @@ TEST(TraceViewTest, BorrowedHeapViewMatchesTrace) {
   ASSERT_EQ(view.size(), trace.size());
   EXPECT_EQ(view.name(), trace.name());
   EXPECT_TRUE(view.annotated());
-  // The view reads the trace's own array and stats: no copy.
+  // The view reads the trace's own arrays and stats: no copy.
   EXPECT_EQ(view.AsRequests(), trace.requests().data());
+  EXPECT_EQ(view.NextAccess(), trace.next_access().data());
   EXPECT_EQ(&view.stats(), &trace.Stats());
   const Request* reqs = view.AsRequests();
   for (size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(reqs[i].id, trace[i].id) << i;
     EXPECT_EQ(reqs[i].size, trace[i].size) << i;
     EXPECT_EQ(reqs[i].op, trace[i].op) << i;
-    EXPECT_EQ(reqs[i].next_access, trace[i].next_access) << i;
   }
+}
+
+TEST(TraceViewTest, UnannotatedViewHasNoNextAccessColumn) {
+  Trace trace = MakeTrace();
+  trace.Append({.id = 1});  // a new request makes the column stale: it is dropped
+  const TraceView view = TraceView::Borrow(trace);
+  EXPECT_FALSE(view.annotated());
+  EXPECT_EQ(view.NextAccess(), nullptr);
+  EXPECT_TRUE(trace.next_access().empty());
 }
 
 }  // namespace

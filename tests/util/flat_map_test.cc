@@ -44,6 +44,23 @@ TEST(FlatMapTest, InsertFindErase) {
   EXPECT_FALSE(m.Erase(1));
 }
 
+TEST(FlatMapTest, EraseIfErasesOnlyWhenThePredicateHolds) {
+  FlatMap<uint64_t> m;
+  const auto is = [](uint64_t want) { return [want](uint64_t v) { return v == want; }; };
+  EXPECT_FALSE(m.EraseIf(1, is(0)));
+  *m.Emplace(1) = 7;
+  *m.Emplace(2) = 8;
+  EXPECT_FALSE(m.EraseIf(1, is(8)));  // present, predicate false: kept
+  EXPECT_EQ(m.size(), 2u);
+  ASSERT_NE(m.Find(1), nullptr);
+  EXPECT_EQ(*m.Find(1), 7u);
+  EXPECT_FALSE(m.EraseIf(3, is(7)));  // absent
+  EXPECT_TRUE(m.EraseIf(1, is(7)));
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_FALSE(m.Contains(1));
+  EXPECT_EQ(*m.Find(2), 8u);
+}
+
 TEST(FlatMapTest, EmplaceValueInitializesReusedSlabSlots) {
   FlatMap<Value> m;
   Value* v = m.Emplace(1);

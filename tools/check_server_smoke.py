@@ -13,7 +13,11 @@ Starts s3fifo_server on an ephemeral port, then:
      and that the data-plane counters are populated;
   4. sends `get 1` and shuts its write side in one burst: a complete reply,
      then EOF;
-  5. sends SIGINT and verifies a clean exit with a shutdown stats line.
+  5. sends SYSCALL_GETS sequential depth-1 gets on one connection and fails
+     if the server's transport_syscalls grew by more than
+     MAX_SYSCALLS_PER_GET per get (an epoll_wait, one read and one send; a
+     read that comes back empty after each request would make it 4);
+  6. sends SIGINT and verifies a clean exit with a shutdown stats line.
 
 Then the overload step starts a one-worker server and offers it an open
 loop far past its saturation rate (2 loadgen threads, 4 connections at
@@ -32,6 +36,9 @@ import signal
 import socket
 import subprocess
 import sys
+
+SYSCALL_GETS = 2000
+MAX_SYSCALLS_PER_GET = 3
 
 OVERLOAD_ARGS = ["--threads", "2", "--connections", "4", "--depth", "8",
                  "--rate", "4000000", "--duration", "2",
@@ -57,8 +64,13 @@ def recv_until(sock, suffix, limit=1 << 20):
 
 def read_stats(port):
     with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
-        s.sendall(b"stats\r\n")
-        raw = recv_until(s, b"END\r\n").decode()
+        return stats_on(s)
+
+
+def stats_on(s):
+    """Sends `stats` on the connected socket `s`; returns the STAT map."""
+    s.sendall(b"stats\r\n")
+    raw = recv_until(s, b"END\r\n").decode()
     stats = {}
     for line in raw.splitlines():
         parts = line.split()
@@ -110,6 +122,30 @@ def check_half_close(port):
     if not resp.endswith(b"END\r\n"):
         fail(f"half-close: incomplete reply before EOF: {resp!r}")
     print("server smoke: half-close OK (reply, then EOF)")
+
+
+def check_syscalls_per_get(port):
+    """Server syscalls per sequential depth-1 get on one connection.
+
+    The server publishes its counters after each poll, so a `stats` reply
+    misses the syscalls of the poll that serves it. Two stats calls in a
+    row measure that offset; it is subtracted from the delta around the
+    gets, which leaves the gets' own syscalls.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        before = stats_on(s)["transport_syscalls"]
+        offset = stats_on(s)["transport_syscalls"] - before
+        start = stats_on(s)["transport_syscalls"]
+        for i in range(SYSCALL_GETS):
+            s.sendall(b"get k%d\r\n" % (i % 64))
+            recv_until(s, b"END\r\n")
+        delta = stats_on(s)["transport_syscalls"] - start - offset
+    per_get = delta / SYSCALL_GETS
+    if per_get > MAX_SYSCALLS_PER_GET:
+        fail(f"{per_get:.2f} server syscalls per depth-1 get "
+             f"(limit {MAX_SYSCALLS_PER_GET}; {delta} over {SYSCALL_GETS})")
+    print(f"server smoke: {per_get:.2f} server syscalls per depth-1 get")
 
 
 def check_bad_args(server_bin, loadgen_bin):
@@ -171,6 +207,7 @@ def run_basic(server_bin, loadgen_bin):
     try:
         check_protocol(port)
         check_half_close(port)
+        check_syscalls_per_get(port)
 
         ops = 50000
         load = subprocess.run(
