@@ -10,14 +10,18 @@
 
 #include <sys/utsname.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "src/server/cli_args.h"
 
 // Set by bench/CMakeLists.txt; the fallbacks keep the header usable alone.
 #ifndef S3FIFO_SOURCE_DIR
@@ -28,15 +32,6 @@
 #endif
 
 namespace s3fifo {
-
-inline double BenchScale() {
-  const char* env = std::getenv("S3FIFO_BENCH_SCALE");
-  if (env == nullptr) {
-    return 1.0;
-  }
-  const double v = std::atof(env);
-  return v > 0 ? v : 1.0;
-}
 
 struct BenchOptions {
   unsigned threads = 0;  // sweep parallelism; 0 = hardware concurrency
@@ -52,18 +47,40 @@ struct BenchOptions {
                "usage: %s [--threads=N] [--mrc=MODE]\n"
                "  --threads=N  sweep worker threads (0 = hardware concurrency)\n"
                "  --mrc=MODE   miss-ratio sweeps: onepass (default) | brute\n"
-               "  env S3FIFO_BENCH_SCALE=X scales trace lengths (default 1.0)\n",
+               "  env S3FIFO_BENCH_SCALE=X scales trace lengths (X > 0, default 1.0)\n",
                argv0);
   std::exit(status);
 }
 
-// Exits with status 2 and the usage text on any argument it does not know.
+// S3FIFO_BENCH_SCALE, or 1.0 when unset. Anything but one positive number
+// ("abc", "2x", "-1", "0") prints the usage and exits with status 2.
+inline double BenchScale() {
+  const char* env = std::getenv("S3FIFO_BENCH_SCALE");
+  if (env == nullptr) {
+    return 1.0;
+  }
+  double v = 0;
+  if (!ParseRealArg(env, &v) || v <= 0) {
+    std::fprintf(stderr, "error: S3FIFO_BENCH_SCALE must be a positive number, not '%s'\n", env);
+    BenchUsage(program_invocation_short_name, 2);
+  }
+  return v;
+}
+
+// Exits with status 2 and the usage text on any argument it does not know,
+// on a --threads value that is not a whole number, and on a malformed
+// S3FIFO_BENCH_SCALE, so a bad invocation stops before any work starts.
 inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opts.threads = static_cast<unsigned>(std::atoi(arg + 10));
+      uint64_t threads = 0;
+      if (!ParseUintArg(arg + 10, 0, std::numeric_limits<unsigned>::max(), &threads)) {
+        std::fprintf(stderr, "error: --threads must be a whole number, not '%s'\n", arg + 10);
+        BenchUsage(argv[0], 2);
+      }
+      opts.threads = static_cast<unsigned>(threads);
     } else if (std::strncmp(arg, "--mrc=", 6) == 0) {
       opts.mrc = arg + 6;
       if (opts.mrc != "onepass" && opts.mrc != "brute") {
@@ -77,6 +94,7 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       BenchUsage(argv[0], 2);
     }
   }
+  BenchScale();
   return opts;
 }
 
@@ -84,7 +102,7 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
 inline const std::vector<std::string>& ComparisonPolicies() {
   static const std::vector<std::string>* policies = new std::vector<std::string>{
       "s3fifo", "tinylfu", "tinylfu-0.1", "lirs", "2q",   "arc",        "slru",
-      "lru",    "clock",   "lecar",       "lhd",  "blru", "fifo-merge",
+      "lru",    "clock",   "lecar",       "lhd",  "blru", "fifo-merge", "cacheus",
   };
   return *policies;
 }
@@ -167,8 +185,8 @@ class JsonFields {
 // Where and how a BENCH file was recorded, so rows from different commits,
 // machines or builds are never compared blind: the source tree's commit
 // ("-dirty" when it has uncommitted changes; "none" outside a git checkout),
-// the online CPU count, the CPU model, the kernel release and the CMake
-// build type (plus sanitizers, if any).
+// the online CPU count, the CPU model, the kernel release, the CMake build
+// type (plus sanitizers, if any) and S3FIFO_BENCH_SCALE.
 inline JsonFields BenchProvenance() {
   std::string sha = "none";
   if (std::FILE* git = popen("git -C \"" S3FIFO_SOURCE_DIR
@@ -197,7 +215,8 @@ inline JsonFields BenchProvenance() {
       .Add("nproc", std::thread::hardware_concurrency())
       .Add("cpu_model", cpu_model)
       .Add("kernel", kernel)
-      .Add("build_type", S3FIFO_BUILD_TYPE);
+      .Add("build_type", S3FIFO_BUILD_TYPE)
+      .Add("bench_scale", BenchScale());
 }
 
 // Writes BENCH_<bench_name>.json into the working directory:

@@ -112,7 +112,8 @@ void Run() {
 }  // namespace
 }  // namespace s3fifo
 
-int main() {
+int main(int argc, char** argv) {
+  s3fifo::ParseBenchArgs(argc, argv);
   s3fifo::Run();
   return 0;
 }

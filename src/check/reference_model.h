@@ -12,7 +12,7 @@
 // set of ids that left residency, and the occupied bytes afterwards.
 //
 // Covered policies (CreateReferenceModel / OracleCoveredPolicies):
-//   fifo, lru, clock, sieve, lfu, 2q, s3fifo, s3fifo-d
+//   fifo, lru, clock, sieve, 2q, s3fifo, s3fifo-d
 //
 // Scope: the oracles implement the policies' default queue disciplines (for
 // s3fifo: FIFO S and M, exact ghost) plus the parameters the fuzzer varies

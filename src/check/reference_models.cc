@@ -1,7 +1,6 @@
 #include "src/check/reference_model.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <stdexcept>
 
@@ -20,8 +19,6 @@ struct RefEntry {
   uint64_t size = 1;
   uint64_t freq = 0;      // clock ref bits / s3fifo access counter
   bool visited = false;   // sieve
-  uint64_t hits = 0;      // lfu frequency
-  uint64_t last_access = 0;
 };
 
 using RefQueue = std::vector<RefEntry>;
@@ -100,7 +97,7 @@ class FifoModel : public SingleQueueModel {
       evicted->push_back(queue_.front().id);
       queue_.erase(queue_.begin());
     }
-    queue_.push_back(RefEntry{req.id, need, 0, false, 0, clock()});
+    queue_.push_back(RefEntry{req.id, need, 0, false});
     return false;
   }
 };
@@ -142,7 +139,7 @@ class LruModel : public SingleQueueModel {
       evicted->push_back(queue_.front().id);
       queue_.erase(queue_.begin());
     }
-    queue_.push_back(RefEntry{req.id, need, 0, false, 0, clock()});
+    queue_.push_back(RefEntry{req.id, need, 0, false});
     return false;
   }
 };
@@ -196,7 +193,7 @@ class ClockModel : public SingleQueueModel {
     while (Occupied() + need > capacity()) {
       EvictOne(evicted);
     }
-    queue_.push_back(RefEntry{req.id, need, 0, false, 0, clock()});
+    queue_.push_back(RefEntry{req.id, need, 0, false});
     return false;
   }
 
@@ -271,81 +268,12 @@ class SieveModel : public SingleQueueModel {
     while (Occupied() + need > capacity()) {
       EvictOne(evicted);
     }
-    queue_.push_back(RefEntry{req.id, need, 0, false, 0, clock()});
+    queue_.push_back(RefEntry{req.id, need, 0, false});
     return false;
   }
 
  private:
   std::optional<uint64_t> hand_;
-};
-
-// ---------------------------------------------------------------------------
-// Perfect LFU: victim = smallest (hits, last_access, id), by linear scan.
-
-class LfuModel : public ReferenceModel {
- public:
-  using ReferenceModel::ReferenceModel;
-  std::string Name() const override { return "ref-lfu"; }
-  bool Contains(uint64_t id) const override { return table_.count(id) != 0; }
-
- protected:
-  uint64_t Occupied() const override {
-    uint64_t total = 0;
-    for (const auto& [id, e] : table_) {
-      total += e.size;
-    }
-    return total;
-  }
-
-  void Delete(uint64_t id, std::vector<uint64_t>* evicted) override {
-    if (table_.erase(id) > 0) {
-      evicted->push_back(id);
-    }
-  }
-
-  uint64_t VictimId() const {
-    auto best = table_.begin();
-    for (auto it = std::next(table_.begin()); it != table_.end(); ++it) {
-      const auto key = std::make_tuple(it->second.hits, it->second.last_access, it->first);
-      const auto best_key =
-          std::make_tuple(best->second.hits, best->second.last_access, best->first);
-      if (key < best_key) {
-        best = it;
-      }
-    }
-    return best->first;
-  }
-
-  bool Access(const Request& req, std::vector<uint64_t>* evicted) override {
-    const uint64_t need = SizeOf(req);
-    auto it = table_.find(req.id);
-    if (it != table_.end()) {
-      ++it->second.hits;
-      it->second.last_access = clock();
-      if (!count_based() && it->second.size != need) {
-        it->second.size = need;
-      }
-      while (Occupied() > capacity() && !table_.empty()) {
-        const uint64_t victim = VictimId();
-        evicted->push_back(victim);
-        table_.erase(victim);
-      }
-      return true;
-    }
-    if (need > capacity()) {
-      return false;
-    }
-    while (Occupied() + need > capacity()) {
-      const uint64_t victim = VictimId();
-      evicted->push_back(victim);
-      table_.erase(victim);
-    }
-    table_.emplace(req.id, RefEntry{req.id, need, 0, false, 0, clock()});
-    return false;
-  }
-
- private:
-  std::map<uint64_t, RefEntry> table_;
 };
 
 // ---------------------------------------------------------------------------
@@ -438,9 +366,9 @@ class TwoQModel : public ReferenceModel {
     }
     if (a1out_.Contains(req.id)) {
       a1out_.Remove(req.id);
-      am_.push_back(RefEntry{req.id, need, 0, false, 0, clock()});
+      am_.push_back(RefEntry{req.id, need, 0, false});
     } else {
-      a1in_.push_back(RefEntry{req.id, need, 0, false, 0, clock()});
+      a1in_.push_back(RefEntry{req.id, need, 0, false});
     }
     return false;
   }
@@ -594,9 +522,9 @@ class S3FifoModel : public ReferenceModel {
     const bool ghost_hit = ghost_.Contains(req.id);
     if (ghost_hit) {
       ghost_.Remove(req.id);
-      main_.push_back(RefEntry{req.id, need, 0, false, 0, clock()});
+      main_.push_back(RefEntry{req.id, need, 0, false});
     } else {
-      small_.push_back(RefEntry{req.id, need, 0, false, 0, clock()});
+      small_.push_back(RefEntry{req.id, need, 0, false});
     }
     return false;
   }
@@ -745,9 +673,6 @@ std::unique_ptr<ReferenceModel> CreateReferenceModel(std::string_view name,
   if (n == "sieve") {
     return std::make_unique<SieveModel>(config);
   }
-  if (n == "lfu") {
-    return std::make_unique<LfuModel>(config);
-  }
   if (n == "2q" || n == "twoq") {
     return std::make_unique<TwoQModel>(config);
   }
@@ -762,7 +687,7 @@ std::unique_ptr<ReferenceModel> CreateReferenceModel(std::string_view name,
 
 const std::vector<std::string>& OracleCoveredPolicies() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
-      "fifo", "lru", "clock", "sieve", "lfu", "2q", "s3fifo", "s3fifo-d",
+      "fifo", "lru", "clock", "sieve", "2q", "s3fifo", "s3fifo-d",
   };
   return *names;
 }

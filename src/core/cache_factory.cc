@@ -9,15 +9,11 @@
 #include "src/policies/clock.h"
 #include "src/policies/fifo.h"
 #include "src/policies/fifo_merge.h"
-#include "src/policies/hyperbolic.h"
 #include "src/policies/lecar.h"
-#include "src/policies/lfu.h"
 #include "src/policies/lhd.h"
 #include "src/policies/lirs.h"
 #include "src/policies/lrb_lite.h"
 #include "src/policies/lru.h"
-#include "src/policies/lruk.h"
-#include "src/policies/random.h"
 #include "src/policies/s3fifo.h"
 #include "src/policies/s3fifo_d.h"
 #include "src/policies/sieve.h"
@@ -69,12 +65,6 @@ std::unique_ptr<Cache> CreateCache(std::string_view name, const CacheConfig& con
     // The paper's larger-window variant (§5.2).
     return std::make_unique<TinyLfuCache>(WithParams(config, "window_ratio=0.1"));
   }
-  if (n == "lruk" || n == "lru-2") {
-    return std::make_unique<LruKCache>(config);
-  }
-  if (n == "lfu") {
-    return std::make_unique<LfuCache>(config);
-  }
   if (n == "blru" || n == "b-lru") {
     return std::make_unique<BLruCache>(config);
   }
@@ -87,9 +77,6 @@ std::unique_ptr<Cache> CreateCache(std::string_view name, const CacheConfig& con
   if (n == "lhd") {
     return std::make_unique<LhdCache>(config);
   }
-  if (n == "hyperbolic") {
-    return std::make_unique<HyperbolicCache>(config);
-  }
   if (n == "lrb-lite" || n == "lrb") {
     return std::make_unique<LrbLiteCache>(config);
   }
@@ -98,9 +85,6 @@ std::unique_ptr<Cache> CreateCache(std::string_view name, const CacheConfig& con
   }
   if (n == "belady" || n == "opt") {
     return std::make_unique<BeladyCache>(config);
-  }
-  if (n == "random") {
-    return std::make_unique<RandomCache>(config);
   }
   if (n == "s3fifo") {
     return std::make_unique<S3FifoCache>(config);
@@ -113,10 +97,9 @@ std::unique_ptr<Cache> CreateCache(std::string_view name, const CacheConfig& con
 
 const std::vector<std::string>& AllCacheNames() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
-      "fifo",    "lru",     "clock",  "sieve",      "slru",       "2q",
-      "arc",     "lirs",    "tinylfu", "tinylfu-0.1", "lruk",      "lfu",
-      "blru",    "lecar",   "cacheus", "lhd",        "hyperbolic", "lrb-lite",
-      "fifo-merge", "belady",  "random",  "s3fifo", "s3fifo-d",
+      "fifo", "lru", "clock", "sieve", "slru", "2q", "arc", "lirs", "tinylfu",
+      "tinylfu-0.1", "blru", "lecar", "cacheus", "lhd", "lrb-lite", "fifo-merge",
+      "belady", "s3fifo", "s3fifo-d",
   };
   return *names;
 }

@@ -13,9 +13,9 @@
 namespace s3fifo {
 
 // Known names (aliases in parentheses):
-//   fifo, lru, clock (fifo-reinsertion), sieve, slru, 2q, arc, lirs,
-//   tinylfu, tinylfu-0.1, lruk, lfu, blru, lecar, cacheus, lhd, hyperbolic,
-//   fifo-merge, belady, random, s3fifo, s3fifo-d
+//   fifo, lru, clock (fifo-reinsertion, second-chance), sieve, slru,
+//   2q (twoq), arc, lirs, tinylfu, tinylfu-0.1, blru (b-lru), lecar, cacheus,
+//   lhd, lrb-lite (lrb), fifo-merge (segcache), belady (opt), s3fifo, s3fifo-d
 // Throws std::invalid_argument for unknown names.
 std::unique_ptr<Cache> CreateCache(std::string_view name, const CacheConfig& config);
 

@@ -91,7 +91,6 @@ void LeCarCache::ApplyPenalty(double& w_penalised, double& w_other, uint64_t evi
   const double total = w_penalised + w_other;
   w_penalised /= total;
   w_other /= total;
-  OnGhostPenalty();
 }
 
 bool LeCarCache::Access(const Request& req) {

@@ -32,9 +32,6 @@ class LeCarCache : public Cache {
  protected:
   bool Access(const Request& req) override;
 
-  // Hook for CACHEUS's adaptive learning rate.
-  virtual void OnGhostPenalty() {}
-
   double learning_rate_ = 0.45;
 
  private:

@@ -1,6 +1,6 @@
-// Strict number parsing for the server and load-generator command lines: an
-// argument is accepted only if all of it is one number in range, so "abc",
-// "12x" and "-1" are usage errors rather than 0 or a wrapped value.
+// Strict number parsing for the server, load-generator and bench command
+// lines: an argument is accepted only if all of it is one number in range, so
+// "abc", "12x" and "-1" are usage errors rather than 0 or a wrapped value.
 #ifndef SRC_SERVER_CLI_ARGS_H_
 #define SRC_SERVER_CLI_ARGS_H_
 

@@ -99,21 +99,6 @@ TEST(SieveOracleTest, VisitedSurvivesAndHandMakesProgress) {
   EXPECT_EQ(out.occupied, 3u);
 }
 
-TEST(LfuOracleTest, EvictsLeastFrequentWithLruTieBreak) {
-  auto m = CreateReferenceModel("lfu", Cfg(3));
-  m->Step(Get(1));
-  m->Step(Get(2));
-  m->Step(Get(3));
-  m->Step(Get(1));
-  m->Step(Get(3));  // 2 is the only once-seen object
-  StepOutcome out = m->Step(Get(4));
-  EXPECT_EQ(out.evicted, std::vector<uint64_t>({2}));
-  // 4 (hits 0) loses against 1 and 3 (hits 1): the newest zero-hit object
-  // goes first on the next miss.
-  out = m->Step(Get(5));
-  EXPECT_EQ(out.evicted, std::vector<uint64_t>({4}));
-}
-
 TEST(TwoQOracleTest, OnlyGhostHitsPromoteToAm) {
   // capacity 4 -> kin_capacity 1.
   auto m = CreateReferenceModel("2q", Cfg(4));

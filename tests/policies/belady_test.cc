@@ -114,8 +114,8 @@ TEST_P(BeladyOptimalityTest, NoOnlinePolicyBeatsOpt) {
 
 INSTANTIATE_TEST_SUITE_P(VsOnline, BeladyOptimalityTest,
                          ::testing::Values("fifo", "lru", "clock", "sieve", "slru", "2q", "arc",
-                                           "lirs", "tinylfu", "lfu", "lecar", "lhd", "s3fifo",
-                                           "s3fifo-d", "random"),
+                                           "lirs", "tinylfu", "lecar", "lhd", "s3fifo",
+                                           "s3fifo-d"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {

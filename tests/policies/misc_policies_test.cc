@@ -1,5 +1,4 @@
-// Behavioural tests for LFU, LRU-K, B-LRU, LeCaR, CACHEUS, LHD, Hyperbolic,
-// FIFO-Merge, and Random.
+// Behavioural tests for B-LRU, LeCaR, CACHEUS, LHD and FIFO-Merge.
 #include <gtest/gtest.h>
 
 #include "src/core/cache_factory.h"
@@ -31,70 +30,6 @@ Trace SkewedTrace(uint64_t seed, uint64_t objects = 1000, uint64_t requests = 30
   c.alpha = 1.0;
   c.seed = seed;
   return GenerateZipfTrace(c);
-}
-
-TEST(LfuTest, EvictsLeastFrequent) {
-  auto c = Make("lfu", 3);
-  c->Get(Get(1));
-  c->Get(Get(1));
-  c->Get(Get(2));
-  c->Get(Get(2));
-  c->Get(Get(3));
-  c->Get(Get(4));  // 3 has the lowest frequency
-  EXPECT_FALSE(c->Contains(3));
-  EXPECT_TRUE(c->Contains(1));
-  EXPECT_TRUE(c->Contains(2));
-}
-
-TEST(LfuTest, TieBrokenByRecency) {
-  auto c = Make("lfu", 2);
-  c->Get(Get(1));
-  c->Get(Get(2));
-  c->Get(Get(3));  // 1 and 2 tie at freq 1; 1 accessed longer ago
-  EXPECT_FALSE(c->Contains(1));
-  EXPECT_TRUE(c->Contains(2));
-}
-
-TEST(LruKTest, KDistanceBeatsRecency) {
-  // Object with two accesses has finite K-distance; one-touch objects are
-  // evicted first regardless of recency.
-  auto c = Make("lruk", 3, "k=2");
-  c->Get(Get(1));
-  c->Get(Get(1));  // 1 has 2 refs
-  c->Get(Get(2));
-  c->Get(Get(3));
-  c->Get(Get(4));  // evict among {2,3} (no K-th access), oldest first
-  EXPECT_TRUE(c->Contains(1));
-  EXPECT_FALSE(c->Contains(2));
-}
-
-TEST(LruKTest, OneTouchPagesEvictedBeforeTwoTouchUnderChurn) {
-  // Backward K-distance is infinite for pages with < K references: a churn
-  // of one-touch pages can never displace K-referenced residents.
-  auto c = Make("lruk", 4, "k=2");
-  c->Get(Get(1));
-  c->Get(Get(1));
-  for (uint64_t i = 10; i < 40; ++i) {
-    c->Get(Get(i));
-  }
-  EXPECT_TRUE(c->Contains(1));
-}
-
-TEST(LruKTest, RetainedHistoryChangesDecisions) {
-  // With retained reference history a returning object carries a finite
-  // K-distance; without retention it restarts at infinity. The two
-  // configurations must diverge on a churny workload.
-  ZipfWorkloadConfig zc;
-  zc.num_objects = 2000;
-  zc.num_requests = 40000;
-  zc.alpha = 0.8;
-  zc.seed = 23;
-  Trace t = GenerateZipfTrace(zc);
-  auto with_history = Make("lruk", 100, "k=2,history_ratio=2.0");
-  auto without_history = Make("lruk", 100, "k=2,history_ratio=0.0001");
-  const SimResult a = Simulate(t, *with_history);
-  const SimResult b = Simulate(t, *without_history);
-  EXPECT_NE(a.hits, b.hits);
 }
 
 TEST(BLruTest, FirstTouchIsNotCached) {
@@ -155,20 +90,14 @@ TEST(CacheusTest, AdaptiveLearningRateRuns) {
 TEST(LhdTest, PrefersHighHitDensityObjects) {
   // Hot objects re-accessed at short ages accumulate hit events in young
   // age classes; cold objects age out. After warmup LHD must clearly beat
-  // random eviction on a skewed trace.
+  // FIFO eviction on a skewed trace (FIFO and random eviction have the same
+  // hit ratio under the independent reference model).
   Trace t = SkewedTrace(9, 500, 50000);
   auto lhd = Make("lhd", 50);
-  auto random = Make("random", 50);
+  auto fifo = Make("fifo", 50);
   const double mr_lhd = Simulate(t, *lhd).MissRatio();
-  const double mr_rand = Simulate(t, *random).MissRatio();
-  EXPECT_LT(mr_lhd, mr_rand + 0.02);
-}
-
-TEST(HyperbolicTest, FrequencyPerAgePriority) {
-  Trace t = SkewedTrace(11, 500, 50000);
-  auto hyp = Make("hyperbolic", 50);
-  auto random = Make("random", 50);
-  EXPECT_LT(Simulate(t, *hyp).MissRatio(), Simulate(t, *random).MissRatio() + 0.02);
+  const double mr_fifo = Simulate(t, *fifo).MissRatio();
+  EXPECT_LT(mr_lhd, mr_fifo + 0.02);
 }
 
 TEST(FifoMergeTest, RetainsFrequentObjectsAcrossMerges) {
@@ -195,22 +124,6 @@ TEST(FifoMergeTest, DeleteTombstonesThenReinsert) {
   EXPECT_FALSE(c->Contains(5));
   c->Get(Get(5));
   EXPECT_TRUE(c->Contains(5));
-}
-
-TEST(RandomTest, EvictsSomethingWhenFull) {
-  auto c = Make("random", 10);
-  for (uint64_t i = 0; i < 100; ++i) {
-    c->Get(Get(i));
-    ASSERT_LE(c->occupied(), 10u);
-  }
-  // Exactly 10 residents remain.
-  int resident = 0;
-  for (uint64_t i = 0; i < 100; ++i) {
-    if (c->Contains(i)) {
-      ++resident;
-    }
-  }
-  EXPECT_EQ(resident, 10);
 }
 
 }  // namespace

@@ -12,7 +12,8 @@ and device bytes, write amplification, ...) must be equal in both files.
 
 Exit status: 0 when every row of each file has a partner and every
 deterministic field matches; 1 on a missing row or a differing field (each
-listed on stderr); 2 on bad arguments or files of different benches.
+listed on stderr); 2 on bad arguments, files of different benches, or files
+whose provenance records different bench_scale values.
 Timing deltas (sum over the joined rows per field, and the summary's timing
 fields) are printed to stdout either way; they are informational.
 """
@@ -108,6 +109,12 @@ def main(argv):
     if base.get("bench") != new.get("bench"):
         print(f"bench_compare: different benches: {base.get('bench')!r} vs "
               f"{new.get('bench')!r}", file=sys.stderr)
+        return 2
+    base_scale = base.get("provenance", {}).get("bench_scale")
+    new_scale = new.get("provenance", {}).get("bench_scale")
+    if base_scale is not None and new_scale is not None and base_scale != new_scale:
+        print(f"bench_compare: different scales: {base_scale!r} vs {new_scale!r}",
+              file=sys.stderr)
         return 2
 
     errors, lines = compare(base, new)

@@ -81,6 +81,17 @@ class BenchCompareTest(unittest.TestCase):
         new["bench"] = "flash"
         self.assertEqual(self.run_compare(BENCH, new).returncode, 2)
 
+    def test_different_scales_are_a_usage_error(self):
+        base = copy.deepcopy(BENCH)
+        base["provenance"]["bench_scale"] = 1
+        new = copy.deepcopy(base)
+        new["provenance"]["bench_scale"] = 0.05
+        result = self.run_compare(base, new)
+        self.assertEqual(result.returncode, 2)
+        self.assertIn("different scales", result.stderr)
+        # A file that records no scale (older than the field) still compares.
+        self.assertEqual(self.run_compare(BENCH, new).returncode, 0)
+
 
 if __name__ == "__main__":
     unittest.main()
